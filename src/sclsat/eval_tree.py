@@ -4,13 +4,19 @@ An evaluation tree is a binary decision tree whose internal nodes are labeled
 with atoms and whose leaves are truth values.  The left child is taken when the
 atom evaluates to true, the right child when it evaluates to false.  The tree
 se(f) encodes exactly the left-sequential short-circuit evaluation of f.
+
+Trees are immutable and may share subtrees.  se(f) returns a shared DAG, equal
+under ``==`` to the tree, with O(|f|) distinct nodes where the tree itself can
+have exponentially many leaves.  substitute, depth and leaf_profile work over
+the distinct nodes, keyed by identity, and keep that sharing; render_tree and
+export_dot print the full tree.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, TypeVar, Union
 
 from .formula_core import Con, Const, Dis, Formula, Lit, Neg, is_valid_atom
 
@@ -29,6 +35,8 @@ class Branch:
 
 EvalTree = Union[Leaf, Branch]
 
+V = TypeVar("V")
+
 TRUE_LEAF = Leaf(True)
 FALSE_LEAF = Leaf(False)
 
@@ -43,26 +51,14 @@ class LeafProfile:
 def substitute(x: EvalTree, y: EvalTree, z: EvalTree) -> EvalTree:
     """Replace every true leaf of x by y and every false leaf by z.
 
-    Implemented with an explicit stack so deep trees do not hit the
-    interpreter's recursion limit.
+    Each distinct node of x is rebuilt once, so shared subtrees stay shared
+    and the cost is linear in x's distinct nodes.
     """
-    # Post-order rebuild: ('visit', node) expands, ('build', node) pops the two
-    # rebuilt children off the result stack.
-    results: list[EvalTree] = []
-    stack: list[tuple[bool, EvalTree]] = [(False, x)]
-    while stack:
-        build, node = stack.pop()
-        if isinstance(node, Leaf):
-            results.append(y if node.value else z)
-        elif not build:
-            stack.append((True, node))
-            stack.append((False, node.right))
-            stack.append((False, node.left))
-        else:
-            right = results.pop()
-            left = results.pop()
-            results.append(Branch(left, node.atom, right))
-    return results[0]
+    return _fold(
+        x,
+        lambda leaf: y if leaf.value else z,
+        lambda node, left, right: Branch(left, node.atom, right),
+    )
 
 
 def se(f: Formula) -> EvalTree:
@@ -73,68 +69,79 @@ def se(f: Formula) -> EvalTree:
         se(x && y) = se(x)[T -> se(y), F -> F]
 
     plus the derived rules se(F) = F and se(x || y) = se(x)[T -> T, F -> se(y)].
+
+    Built right to left by passing down the trees for a true and a false
+    outcome, se_k(f, t, e) = se(f)[T -> t, F -> e]:
+
+        se_k(a, t, e) = t <| a |> e        se_k(!x, t, e) = se_k(x, e, t)
+        se_k(x && y, t, e) = se_k(x, se_k(y, t, e), e)
+        se_k(x || y, t, e) = se_k(x, t, se_k(y, t, e))
+
+    Every formula node is visited once and every atom occurrence makes one
+    Branch, so the result is a shared DAG of at most |f| + 2 distinct nodes,
+    equal under ``==`` to the tree.
     """
+    # Work items (node, t, e); a continuation of None is the tree the
+    # right operand left on the results stack.
     results: list[EvalTree] = []
-    stack: list[tuple[bool, Formula]] = [(False, f)]
+    stack: list[tuple[Formula, EvalTree | None, EvalTree | None]] = [(f, TRUE_LEAF, FALSE_LEAF)]
     while stack:
-        build, node = stack.pop()
+        node, t, e = stack.pop()
+        if t is None:
+            t = results.pop()
+        elif e is None:
+            e = results.pop()
         if isinstance(node, Const):
-            results.append(Leaf(node.value))
+            results.append(t if node.value else e)
         elif isinstance(node, Lit):
-            results.append(Branch(TRUE_LEAF, node.atom, FALSE_LEAF))
-        elif not build:
-            stack.append((True, node))
-            if isinstance(node, Neg):
-                stack.append((False, node.inner))
-            else:
-                stack.append((False, node.right))
-                stack.append((False, node.left))
+            results.append(Branch(t, node.atom, e))
         elif isinstance(node, Neg):
-            results.append(substitute(results.pop(), FALSE_LEAF, TRUE_LEAF))
+            stack.append((node.inner, e, t))
         elif isinstance(node, Con):
-            right = results.pop()
-            left = results.pop()
-            results.append(substitute(left, right, FALSE_LEAF))
+            stack.append((node.left, None, e))
+            stack.append((node.right, t, e))
         else:
-            right = results.pop()
-            left = results.pop()
-            results.append(substitute(left, TRUE_LEAF, right))
+            stack.append((node.left, t, None))
+            stack.append((node.right, t, e))
     return results[0]
 
 
-def depth(t: EvalTree) -> int:
-    if isinstance(t, Leaf):
-        return 0
-    # Iterative to cope with chain-shaped trees.
-    best = 0
-    stack: list[tuple[EvalTree, int]] = [(t, 0)]
+def _fold(t: EvalTree, leaf: Callable[[Leaf], V], branch: Callable[[Branch, V, V], V]) -> V:
+    """Post-order fold over the distinct nodes of t, each visited once (keyed
+    by identity): leaf(node) at a leaf, branch(node, left value, right value)
+    at a branch.  An explicit stack copes with deep trees."""
+    values: dict[int, V] = {}
+    stack = [t]
     while stack:
-        node, d = stack.pop()
-        if isinstance(node, Leaf):
-            best = max(best, d)
+        node = stack[-1]
+        if id(node) in values:
+            stack.pop()
+        elif isinstance(node, Leaf):
+            values[id(node)] = leaf(node)
+            stack.pop()
+        elif id(node.left) in values and id(node.right) in values:
+            values[id(node)] = branch(node, values[id(node.left)], values[id(node.right)])
+            stack.pop()
         else:
-            stack.append((node.left, d + 1))
-            stack.append((node.right, d + 1))
-    return best
+            stack.append(node.right)
+            stack.append(node.left)
+    return values[id(t)]
+
+
+def depth(t: EvalTree) -> int:
+    return _fold(t, lambda leaf: 0, lambda node, left, right: 1 + max(left, right))
 
 
 def leaf_profile(t: EvalTree) -> LeafProfile:
-    has_true = False
-    has_false = False
-    count = 0
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            count += 1
-            if node.value:
-                has_true = True
-            else:
-                has_false = True
-        else:
-            stack.append(node.left)
-            stack.append(node.right)
-    return LeafProfile(has_true, has_false, count)
+    """Leaf flags and count of the tree, computed over its distinct nodes, so
+    a shared DAG is not expanded."""
+    return _fold(
+        t,
+        lambda leaf: LeafProfile(leaf.value, not leaf.value, 1),
+        lambda node, left, right: LeafProfile(left.has_true or right.has_true,
+                                              left.has_false or right.has_false,
+                                              left.leaf_count + right.leaf_count),
+    )
 
 
 def is_open(t: EvalTree) -> bool:
@@ -144,15 +151,27 @@ def is_open(t: EvalTree) -> bool:
 
 def render_tree(t: EvalTree) -> str:
     """Fully parenthesised infix form, e.g. ``(F < b > T) < a > F``."""
-    if isinstance(t, Leaf):
-        return "T" if t.value else "F"
-    left = render_tree(t.left)
-    right = render_tree(t.right)
-    if isinstance(t.left, Branch):
-        left = f"({left})"
-    if isinstance(t.right, Branch):
-        right = f"({right})"
-    return f"{left} < {t.atom} > {right}"
+    # The stack holds text still to emit and subtrees still to expand, in
+    # reverse order; an explicit stack copes with deep trees.
+    parts: list[str] = []
+    # One separator string per atom rather than one per branch printed.
+    separators: dict[str, str] = {}
+    stack: list[EvalTree | str] = [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Leaf):
+            parts.append("T" if item.value else "F")
+        else:
+            separator = separators.get(item.atom)
+            if separator is None:
+                separator = separators[item.atom] = f" < {item.atom} > "
+            right, left = item.right, item.left
+            stack.extend((")", right, "(") if isinstance(right, Branch) else (right,))
+            stack.append(separator)
+            stack.extend((")", left, "(") if isinstance(left, Branch) else (left,))
+    return "".join(parts)
 
 
 _TREE_TOKEN_RE = re.compile(r"\s*(?:(?P<lpar>\()|(?P<rpar>\))|(?P<lt><)|(?P<gt>>)|(?P<word>[A-Za-z_][A-Za-z0-9_]*))")
@@ -224,25 +243,30 @@ def parse_tree(text: str) -> EvalTree:
 
 def export_dot(t: EvalTree) -> str:
     """DOT digraph: atoms as ellipses, leaves as boxes labeled T/F,
-    true edges labeled "T", false edges labeled "F"."""
+    true edges labeled "T", false edges labeled "F".  Nodes are numbered in
+    pre-order, each branch's edges following both of its subtrees."""
     lines = ["digraph evaltree {"]
     counter = 0
-
-    def emit(node: EvalTree) -> int:
-        nonlocal counter
+    # A work item is (node, ids of its parent's children) to number and
+    # print a node, or (node id, its children's ids) to print its edges.
+    stack: list[tuple[EvalTree | int, list[int]]] = [(t, [])]
+    while stack:
+        item, ids = stack.pop()
+        if isinstance(item, int):
+            lines.append(f'  n{item} -> n{ids[0]} [label="T"];')
+            lines.append(f'  n{item} -> n{ids[1]} [label="F"];')
+            continue
         node_id = counter
         counter += 1
-        if isinstance(node, Leaf):
-            label = "T" if node.value else "F"
+        ids.append(node_id)
+        if isinstance(item, Leaf):
+            label = "T" if item.value else "F"
             lines.append(f'  n{node_id} [shape=box, label="{label}"];')
         else:
-            lines.append(f'  n{node_id} [shape=ellipse, label="{node.atom}"];')
-            left_id = emit(node.left)
-            right_id = emit(node.right)
-            lines.append(f'  n{node_id} -> n{left_id} [label="T"];')
-            lines.append(f'  n{node_id} -> n{right_id} [label="F"];')
-        return node_id
-
-    emit(t)
+            lines.append(f'  n{node_id} [shape=ellipse, label="{item.atom}"];')
+            children: list[int] = []
+            stack.append((node_id, children))
+            stack.append((item.right, children))
+            stack.append((item.left, children))
     lines.append("}")
     return "\n".join(lines)

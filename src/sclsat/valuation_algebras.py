@@ -285,27 +285,30 @@ def build_va(p: ValuationPath, alphabet: Sequence[str] | None = None) -> FiniteA
     entries were consumed.  Consuming entry i advances the state; any other
     atom leaves it unchanged and yields its most recent value on the consumed
     prefix (false if it never occurred).  Always repetition-proof, and the
-    evaluation path of any formula that walks p from state 1 is p itself."""
+    evaluation path of any formula that walks p from state 1 is p itself.
+
+    One forward sweep over p fills the tables: the entry at position j (from
+    0) sets its atom's yield from state j+1 up to the atom's next occurrence
+    and its derivative at state j+1 to j+2.  The cost is O(|alphabet| * n),
+    the size of the tables."""
     n = len(p)
     alphabet = _path_alphabet(p, alphabet)
-    eval_table: dict[str, tuple[bool, ...]] = {}
-    deriv_table: dict[str, tuple[int, ...]] = {}
-    for a in alphabet:
-        evals: list[bool] = []
-        derivs: list[int] = []
-        for i in range(1, n + 2):
-            last_value = False
-            for j in range(min(i, n), 0, -1):
-                if p[j - 1][0] == a:
-                    last_value = p[j - 1][1]
-                    break
-            evals.append(last_value)
-            if i <= n and p[i - 1][0] == a:
-                derivs.append(i + 1)
-            else:
-                derivs.append(i)
-        eval_table[a] = tuple(evals)
-        deriv_table[a] = tuple(derivs)
+    evals = {a: [False] * (n + 1) for a in alphabet}
+    derivs = {a: list(range(1, n + 2)) for a in alphabet}
+    # Start of the yield run each atom's latest occurrence opened.
+    run_start: dict[str, int] = {}
+    for j, (atom, _) in enumerate(p):
+        if atom in run_start:
+            start = run_start[atom]
+            evals[atom][start:j] = [p[start][1]] * (j - start)
+        run_start[atom] = j
+        derivs[atom][j] = j + 2
+    for atom, start in run_start.items():
+        evals[atom][start:] = [p[start][1]] * (n + 1 - start)
+    # Popping frees each list as its tuple is made, so the two copies of the
+    # tables never coexist.
+    eval_table = {a: tuple(evals.pop(a)) for a in alphabet}
+    deriv_table = {a: tuple(derivs.pop(a)) for a in alphabet}
     return FiniteAlgebra(n + 1, alphabet, eval_table, deriv_table)
 
 

@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sclsat.eval_tree import (
     Branch,
     FALSE_LEAF,
     Leaf,
+    LeafProfile,
     TRUE_LEAF,
     TreeParseError,
     depth,
@@ -24,8 +25,12 @@ from sclsat.formula_core import (
     Neg,
     enumerate_formulas,
     is_constant_free,
+    node_count,
     parse,
 )
+
+from test_cli import run
+from test_formula_core import formulas
 
 
 def trees(atoms=("a", "b", "c"), max_leaves=8):
@@ -52,6 +57,33 @@ def se_reference(f):
     return substitute(se_reference(f.left), TRUE_LEAF, se_reference(f.right))
 
 
+def _or_chain(n):
+    return " && ".join(f"(a{i} || b{i})" for i in range(n))
+
+
+def _flat_chain(n):
+    return " && ".join(f"x{i}" for i in range(n))
+
+
+def _deep_chain():
+    f = Lit("x0")
+    for i in range(1, 20000):
+        f = Con(Lit(f"x{i}"), f)
+    return f
+
+
+def _distinct_nodes(t):
+    seen = set()
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, Branch):
+                stack.extend([node.left, node.right])
+    return len(seen)
+
+
 class TestSe:
     def test_examples(self):
         assert se(parse("T")) == TRUE_LEAF
@@ -74,6 +106,27 @@ class TestSe:
         assert depth(t) == 20000
         assert leaf_profile(t).leaf_count == 20001
 
+    def test_renders_match_reference_exhaustively(self):
+        for f in enumerate_formulas(["a", "b"], 7):
+            assert render_tree(se(f)) == render_tree(se_reference(f))
+
+    @settings(max_examples=300)
+    @given(formulas(max_leaves=8).filter(lambda f: node_count(f) <= 15))
+    def test_matches_reference(self, f):
+        assert se(f) == se_reference(f)
+
+    @pytest.mark.parametrize("text", [_or_chain(20), _flat_chain(1200)], ids=["or_chain", "flat_chain"])
+    def test_distinct_nodes_linear(self, text):
+        f = parse(text)
+        assert _distinct_nodes(se(f)) <= node_count(f) + 2
+
+    def test_shared_chain_profile(self):
+        # (a0 || b0) && ... has 2^n true and 2^n - 1 false leaves.
+        for n in (3, 10, 20):
+            t = se(parse(_or_chain(n)))
+            assert leaf_profile(t) == LeafProfile(True, True, 2 ** (n + 1) - 1)
+            assert depth(t) == 2 * n
+
 
 class TestSubstitute:
     @given(trees(), trees(max_leaves=3), trees(max_leaves=3))
@@ -94,6 +147,12 @@ class TestSubstitute:
     def test_identity(self):
         t = se(parse("(a || b) && c"))
         assert substitute(t, TRUE_LEAF, FALSE_LEAF) == t
+
+    def test_keeps_sharing(self):
+        t = se(parse(_or_chain(20)))
+        flipped = substitute(t, FALSE_LEAF, TRUE_LEAF)
+        assert _distinct_nodes(flipped) == _distinct_nodes(t)
+        assert leaf_profile(flipped).leaf_count == leaf_profile(t).leaf_count
 
 
 def _true_leaves(t):
@@ -133,6 +192,15 @@ class TestTreeText:
             with pytest.raises(TreeParseError):
                 parse_tree(bad)
 
+    def test_deep_chain(self):
+        expected = "(" * 19999 + "T < x0 > F" + "".join(f") < x{i} > F" for i in range(1, 20000))
+        assert render_tree(se(_deep_chain())) == expected
+
+    def test_cli_flat_chain(self, capsys):
+        code, out, _ = run(capsys, "tree", _flat_chain(1200))
+        assert code == 0
+        assert out.startswith("((") and out.count(" < x") == 1200
+
 
 class TestDot:
     def test_shapes_and_edges(self):
@@ -141,3 +209,23 @@ class TestDot:
         assert dot.count("shape=ellipse") == 1
         assert dot.count("shape=box") == 2
         assert '[label="T"];' in dot and '[label="F"];' in dot
+
+    def test_preorder_numbering(self):
+        assert export_dot(se(parse("a && !b"))).splitlines() == [
+            "digraph evaltree {",
+            '  n0 [shape=ellipse, label="a"];',
+            '  n1 [shape=ellipse, label="b"];',
+            '  n2 [shape=box, label="F"];',
+            '  n3 [shape=box, label="T"];',
+            '  n1 -> n2 [label="T"];',
+            '  n1 -> n3 [label="F"];',
+            '  n4 [shape=box, label="F"];',
+            '  n0 -> n1 [label="T"];',
+            '  n0 -> n4 [label="F"];',
+            "}",
+        ]
+
+    def test_deep_chain(self):
+        dot = export_dot(se(_deep_chain()))
+        assert dot.count("shape=ellipse") == 20000
+        assert dot.count("shape=box") == 20001

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from sclsat.eval_tree import se
 from sclsat.formula_core import parse
-from sclsat.paths import is_memorizing, is_repetition_proof, result
+from sclsat.paths import contract, is_memorizing, is_repetition_proof, result
 from sclsat.valuation_algebras import (
     CONTRACTIVE,
     FREE,
@@ -33,6 +33,36 @@ from test_paths import paths
 
 
 FIG_PATH = (("a", True), ("b", False), ("b", False), ("b", True), ("a", False), ("a", False))
+
+
+def build_va_reference(p, alphabet=None):
+    """Backward-scan path algebra, O(|alphabet| * n^2): for every atom and
+    state, scan back for the atom's latest occurrence.  The oracle for the
+    one-pass build_va."""
+    n = len(p)
+    atoms = {atom for atom, _ in p}
+    if alphabet is not None:
+        atoms.update(alphabet)
+    alphabet = tuple(sorted(atoms))
+    eval_table = {}
+    deriv_table = {}
+    for a in alphabet:
+        evals = []
+        derivs = []
+        for i in range(1, n + 2):
+            last_value = False
+            for j in range(min(i, n), 0, -1):
+                if p[j - 1][0] == a:
+                    last_value = p[j - 1][1]
+                    break
+            evals.append(last_value)
+            if i <= n and p[i - 1][0] == a:
+                derivs.append(i + 1)
+            else:
+                derivs.append(i)
+        eval_table[a] = tuple(evals)
+        deriv_table[a] = tuple(derivs)
+    return FiniteAlgebra(n + 1, alphabet, eval_table, deriv_table)
 
 
 def random_algebras():
@@ -187,6 +217,18 @@ class TestConstructors:
     def test_rp_path_gives_rp_algebra(self):
         p = (("a", True), ("a", True), ("b", False))
         assert class_check(build_va(p)).repetition_proof
+
+    def test_match_backward_scan_reference(self):
+        rng = random.Random(20151018)
+        for i in range(5000):
+            atoms = ["a", "b", "c", "d"][: rng.randint(1, 4)]
+            p = tuple(
+                (rng.choice(atoms), rng.random() < 0.5) for _ in range(rng.randint(0, 12))
+            )
+            extra = ("b", "e") if i % 2 else None
+            expected = build_va_reference(p, extra).to_json()
+            assert build_va(p, extra).to_json() == expected
+            assert build_cva(p, extra).to_json() == build_va_reference(contract(p), extra).to_json()
 
     def test_extra_alphabet(self):
         v = build_va((("a", True),), alphabet=("a", "b"))
