@@ -10,9 +10,10 @@ valuation algebra (the class-model criterion).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .eval_tree import se
-from .formula_core import Con, Const, Dis, Formula, Lit, Neg, atoms_of, parse
+from .formula_core import Con, Dis, Formula, Lit, Neg, atoms_of, parse, postorder
 from .valuation_algebras import ValuationAlgebra, congruent
 
 FORMULA_METAVARS = ("x", "y", "z", "u")
@@ -31,12 +32,14 @@ class AxiomScheme:
     # equations rather than proper axioms.
     defining: bool = False
 
-    @property
+    # Cached: a scheme is immutable, and `sclsat axioms --check` reads both
+    # for every instance it draws.
+    @cached_property
     def formula_vars(self) -> tuple[str, ...]:
         used = atoms_of(self.lhs) | atoms_of(self.rhs)
         return tuple(v for v in FORMULA_METAVARS if v in used)
 
-    @property
+    @cached_property
     def atom_vars(self) -> tuple[str, ...]:
         used = atoms_of(self.lhs) | atoms_of(self.rhs)
         return tuple(v for v in ATOM_METAVARS if v in used)
@@ -138,32 +141,24 @@ def _substitute(
     subst: dict[str, Formula],
     atom_subst: dict[str, str],
 ) -> Formula:
-    if isinstance(template, Const):
-        return template
-    if isinstance(template, Lit):
-        name = template.atom
-        if name in FORMULA_METAVARS:
+    out: dict[int, Formula] = {}
+    for node in postorder(template):
+        if isinstance(node, Lit) and node.atom in FORMULA_METAVARS + ATOM_METAVARS:
             try:
-                return subst[name]
+                new = (subst[node.atom] if node.atom in FORMULA_METAVARS
+                       else Lit(atom_subst[node.atom]))
             except KeyError:
-                raise MissingBindingError(name) from None
-        if name in ATOM_METAVARS:
-            try:
-                return Lit(atom_subst[name])
-            except KeyError:
-                raise MissingBindingError(name) from None
-        return template
-    if isinstance(template, Neg):
-        return Neg(_substitute(template.inner, subst, atom_subst))
-    if isinstance(template, Con):
-        return Con(
-            _substitute(template.left, subst, atom_subst),
-            _substitute(template.right, subst, atom_subst),
-        )
-    return Dis(
-        _substitute(template.left, subst, atom_subst),
-        _substitute(template.right, subst, atom_subst),
-    )
+                raise MissingBindingError(node.atom) from None
+        elif isinstance(node, Neg):
+            new = Neg(out[id(node.inner)])
+        elif isinstance(node, Con):
+            new = Con(out[id(node.left)], out[id(node.right)])
+        elif isinstance(node, Dis):
+            new = Dis(out[id(node.left)], out[id(node.right)])
+        else:
+            new = node
+        out[id(node)] = new
+    return out[id(template)]
 
 
 def instantiate(

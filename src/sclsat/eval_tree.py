@@ -196,49 +196,53 @@ def parse_tree(text: str) -> EvalTree:
         tokens.append((kind, match.group(kind)))
         pos = match.end()
 
+    # Grammar: tree := operand ('<' atom '>' operand)?, operand := '(' tree ')'
+    # | 'T' | 'F'.  One frame per open parenthesis (the outermost for the
+    # whole input): None while it awaits its left operand, (left, atom) once
+    # it awaits the right one.
+    frames: list[tuple[EvalTree, str] | None] = [None]
     index = 0
-
-    def atom_or_leaf() -> EvalTree:
-        nonlocal index
+    while True:
         if index >= len(tokens):
             raise TreeParseError("unexpected end of input")
         kind, value = tokens[index]
+        index += 1
         if kind == "lpar":
-            index += 1
-            inner = tree()
+            frames.append(None)
+            continue
+        if kind != "word":
+            raise TreeParseError(f"unexpected token {value!r}")
+        if value == "T":
+            operand: EvalTree = TRUE_LEAF
+        elif value == "F":
+            operand = FALSE_LEAF
+        else:
+            raise TreeParseError(f"expected leaf or '(', found atom {value!r}")
+        # Hand the operand to its frame; a finished frame is an operand of the
+        # enclosing one once its ')' is read.
+        while True:
+            frame = frames[-1]
+            if frame is None and index < len(tokens) and tokens[index][0] == "lt":
+                index += 1
+                if index >= len(tokens) or tokens[index][0] != "word" or not is_valid_atom(tokens[index][1]):
+                    raise TreeParseError("expected atom after '<'")
+                atom = tokens[index][1]
+                index += 1
+                if index >= len(tokens) or tokens[index][0] != "gt":
+                    raise TreeParseError("expected '>'")
+                index += 1
+                frames[-1] = (operand, atom)
+                break
+            if frame is not None:
+                operand = Branch(frame[0], frame[1], operand)
+            frames.pop()
+            if not frames:
+                if index != len(tokens):
+                    raise TreeParseError("unexpected trailing input")
+                return operand
             if index >= len(tokens) or tokens[index][0] != "rpar":
                 raise TreeParseError("expected ')'")
             index += 1
-            return inner
-        if kind == "word":
-            index += 1
-            if value == "T":
-                return TRUE_LEAF
-            if value == "F":
-                return FALSE_LEAF
-            raise TreeParseError(f"expected leaf or '(', found atom {value!r}")
-        raise TreeParseError(f"unexpected token {value!r}")
-
-    def tree() -> EvalTree:
-        nonlocal index
-        left = atom_or_leaf()
-        if index < len(tokens) and tokens[index][0] == "lt":
-            index += 1
-            if index >= len(tokens) or tokens[index][0] != "word" or not is_valid_atom(tokens[index][1]):
-                raise TreeParseError("expected atom after '<'")
-            atom = tokens[index][1]
-            index += 1
-            if index >= len(tokens) or tokens[index][0] != "gt":
-                raise TreeParseError("expected '>'")
-            index += 1
-            right = atom_or_leaf()
-            return Branch(left, atom, right)
-        return left
-
-    result = tree()
-    if index != len(tokens):
-        raise TreeParseError("unexpected trailing input")
-    return result
 
 
 def export_dot(t: EvalTree) -> str:

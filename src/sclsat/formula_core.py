@@ -5,6 +5,14 @@ Formulas are built from the constants T and F, named atoms, negation,
 left-sequential conjunction (&&) and left-sequential disjunction (||).
 F and || are first-class constructors; ``expand_abbreviations`` rewrites them
 to the two-constructor core (F = !T, x || y = !(!x && !y)).
+
+Every walk over a formula is a fold over ``postorder(f)``, which yields each
+distinct node once, keyed by identity, children before their parent and the
+left operand first.  A fold keeps one value per node in a dict keyed by
+``id(node)``, so shared subterms are computed once and deep formulas need no
+recursion.  The solvers' flag pass and Tseitin encoding and the axiom
+instantiation are folds of the same kind.  ``parse`` and ``render`` keep
+explicit stacks of their own, because text is read and written top-down.
 """
 
 from __future__ import annotations
@@ -88,7 +96,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    """Recursive-descent parser for the grammar
+    """Parser for the grammar
 
         formula := dis
         dis     := con ('||' con)*
@@ -97,6 +105,10 @@ class _Parser:
 
     with '!' binding tighter than '&&', which binds tighter than '||';
     both binary operators associate to the left.
+
+    Iterative: one group per open parenthesis (the outermost for the whole
+    input) holds the disjunction and the conjunction built so far and the
+    number of '!' before its '(', so nesting depth costs no recursion.
     """
 
     def __init__(self, text: str):
@@ -109,65 +121,84 @@ class _Parser:
             return self.tokens[self.index]
         return None
 
-    def _advance(self) -> tuple[str, str, int]:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def _expect(self, kind: str) -> tuple[str, str, int]:
-        token = self._peek()
-        if token is None:
-            raise ParseError(f"unexpected end of input, expected {kind}", len(self.text))
-        if token[0] != kind:
-            raise ParseError(f"expected {kind}, found {token[1]!r}", token[2])
-        return self._advance()
-
     def parse(self) -> Formula:
-        formula = self._dis()
-        token = self._peek()
-        if token is not None:
-            raise ParseError(f"unexpected trailing input {token[1]!r}", token[2])
-        return formula
-
-    def _dis(self) -> Formula:
-        left = self._con()
-        while (token := self._peek()) is not None and token[0] == "or":
-            self._advance()
-            left = Dis(left, self._con())
-        return left
-
-    def _con(self) -> Formula:
-        left = self._unary()
-        while (token := self._peek()) is not None and token[0] == "and":
-            self._advance()
-            left = Con(left, self._unary())
-        return left
-
-    def _unary(self) -> Formula:
-        token = self._peek()
-        if token is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        kind, value, pos = token
-        if kind == "not":
-            self._advance()
-            return Neg(self._unary())
-        if kind == "lpar":
-            self._advance()
-            inner = self._dis()
-            self._expect("rpar")
-            return inner
-        if kind == "word":
-            self._advance()
-            if value == "T":
-                return TRUE
-            if value == "F":
-                return FALSE
-            return Lit(value)
-        raise ParseError(f"unexpected token {value!r}", pos)
+        # Each group is [disjunction so far, conjunction so far, negations
+        # before its '(']; None means no operand yet.
+        groups: list[list] = [[None, None, 0]]
+        negations = 0
+        while True:
+            token = self._peek()
+            if token is None:
+                raise ParseError("unexpected end of input", len(self.text))
+            kind, value, pos = token
+            self.index += 1
+            if kind == "not":
+                negations += 1
+                continue
+            if kind == "lpar":
+                groups.append([None, None, negations])
+                negations = 0
+                continue
+            if kind != "word":
+                raise ParseError(f"unexpected token {value!r}", pos)
+            operand: Formula = TRUE if value == "T" else FALSE if value == "F" else Lit(value)
+            # Fold the finished unary into its group; a closing parenthesis
+            # finishes the group as a unary of the enclosing one.
+            while True:
+                for _ in range(negations):
+                    operand = Neg(operand)
+                group = groups[-1]
+                group[1] = operand if group[1] is None else Con(group[1], operand)
+                token = self._peek()
+                if token is not None and token[0] == "and":
+                    self.index += 1
+                    negations = 0
+                    break
+                group[0] = group[1] if group[0] is None else Dis(group[0], group[1])
+                group[1] = None
+                if token is not None and token[0] == "or":
+                    self.index += 1
+                    negations = 0
+                    break
+                if len(groups) == 1:
+                    if token is not None:
+                        raise ParseError(f"unexpected trailing input {token[1]!r}", token[2])
+                    return group[0]
+                if token is None:
+                    raise ParseError("unexpected end of input, expected rpar", len(self.text))
+                if token[0] != "rpar":
+                    raise ParseError(f"expected rpar, found {token[1]!r}", token[2])
+                self.index += 1
+                groups.pop()
+                operand, negations = group[0], group[2]
 
 
 def parse(text: str) -> Formula:
     return _Parser(text).parse()
+
+
+def postorder(f: Formula) -> Iterator[Formula]:
+    """Each distinct node of f once, keyed by identity: children before their
+    parent, the left operand before the right.  An explicit stack copes with
+    deep formulas, and a subterm shared by several parents is visited once."""
+    entered: set[int] = set()
+    # (node, True) once the node's children have been pushed.
+    stack: list[tuple[Formula, bool]] = [(f, False)]
+    while stack:
+        node, children_pushed = stack.pop()
+        if children_pushed:
+            yield node
+        elif id(node) not in entered:
+            entered.add(id(node))
+            if isinstance(node, Neg):
+                stack.append((node, True))
+                stack.append((node.inner, False))
+            elif isinstance(node, (Con, Dis)):
+                stack.append((node, True))
+                stack.append((node.right, False))
+                stack.append((node.left, False))
+            else:
+                yield node
 
 
 # Precedence levels used for minimal parenthesisation.
@@ -177,111 +208,107 @@ _PREC_UNARY = 3
 
 
 def render(f: Formula) -> str:
-    return _render(f, 0)
-
-
-def _render(f: Formula, parent_prec: int) -> str:
-    if isinstance(f, Const):
-        return "T" if f.value else "F"
-    if isinstance(f, Lit):
-        return f.atom
-    if isinstance(f, Neg):
-        return "!" + _render(f.inner, _PREC_UNARY)
-    if isinstance(f, Con):
-        text = _render(f.left, _PREC_CON) + " && " + _render(f.right, _PREC_CON + 1)
-        return f"({text})" if parent_prec > _PREC_CON else text
-    if isinstance(f, Dis):
-        text = _render(f.left, _PREC_DIS) + " || " + _render(f.right, _PREC_DIS + 1)
-        return f"({text})" if parent_prec > _PREC_DIS else text
-    raise TypeError(f"not a formula: {f!r}")
+    """Infix text with the fewest parentheses that parse back to f."""
+    # The stack holds text still to emit and (subformula, precedence of its
+    # context) pairs still to expand, in reverse order.
+    parts: list[str] = []
+    stack: list[tuple[Formula, int] | str] = [(f, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        node, parent_prec = item
+        if isinstance(node, Const):
+            parts.append("T" if node.value else "F")
+        elif isinstance(node, Lit):
+            parts.append(node.atom)
+        elif isinstance(node, Neg):
+            parts.append("!")
+            stack.append((node.inner, _PREC_UNARY))
+        elif isinstance(node, (Con, Dis)):
+            prec, operator = (_PREC_CON, " && ") if isinstance(node, Con) else (_PREC_DIS, " || ")
+            if parent_prec > prec:
+                parts.append("(")
+                stack.append(")")
+            stack.append((node.right, prec + 1))
+            stack.append(operator)
+            stack.append((node.left, prec))
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return "".join(parts)
 
 
 def expand_abbreviations(f: Formula) -> Formula:
-    """Rewrite F to !T and x || y to !(!x && !y), recursively."""
-    if isinstance(f, Const):
-        return f if f.value else Neg(TRUE)
-    if isinstance(f, Lit):
-        return f
-    if isinstance(f, Neg):
-        return Neg(expand_abbreviations(f.inner))
-    if isinstance(f, Con):
-        return Con(expand_abbreviations(f.left), expand_abbreviations(f.right))
-    if isinstance(f, Dis):
-        left = expand_abbreviations(f.left)
-        right = expand_abbreviations(f.right)
-        return Neg(Con(Neg(left), Neg(right)))
-    raise TypeError(f"not a formula: {f!r}")
+    """Rewrite F to !T and x || y to !(!x && !y), throughout f."""
+    out: dict[int, Formula] = {}
+    for node in postorder(f):
+        if isinstance(node, Const):
+            new = node if node.value else Neg(TRUE)
+        elif isinstance(node, Lit):
+            new = node
+        elif isinstance(node, Neg):
+            new = Neg(out[id(node.inner)])
+        elif isinstance(node, Con):
+            new = Con(out[id(node.left)], out[id(node.right)])
+        elif isinstance(node, Dis):
+            new = Neg(Con(Neg(out[id(node.left)]), Neg(out[id(node.right)])))
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+        out[id(node)] = new
+    return out[id(f)]
 
 
 def complexity(f: Formula) -> int:
     """cx(T) = cx(a) = 0, cx(!x) = 1 + cx(x), cx(x && y) = 1 + max(cx(x), cx(y)),
-    computed on the abbreviation-free form of f."""
-    return _complexity(expand_abbreviations(f))
-
-
-def _complexity(f: Formula) -> int:
-    if isinstance(f, (Const, Lit)):
-        return 0
-    if isinstance(f, Neg):
-        return 1 + _complexity(f.inner)
-    if isinstance(f, Con):
-        return 1 + max(_complexity(f.left), _complexity(f.right))
-    raise TypeError(f"unexpected abbreviation in {f!r}")
+    computed on the abbreviation-free form of f: there cx(F) = cx(!T) = 1 and
+    cx(x || y) = cx(!(!x && !y)) = 3 + max(cx(x), cx(y))."""
+    cx: dict[int, int] = {}
+    for node in postorder(f):
+        if isinstance(node, Const):
+            value = 0 if node.value else 1
+        elif isinstance(node, Lit):
+            value = 0
+        elif isinstance(node, Neg):
+            value = 1 + cx[id(node.inner)]
+        elif isinstance(node, Con):
+            value = 1 + max(cx[id(node.left)], cx[id(node.right)])
+        elif isinstance(node, Dis):
+            value = 3 + max(cx[id(node.left)], cx[id(node.right)])
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+        cx[id(node)] = value
+    return cx[id(f)]
 
 
 def is_constant_free(f: Formula) -> bool:
-    if isinstance(f, Const):
-        return False
-    if isinstance(f, Lit):
-        return True
-    if isinstance(f, Neg):
-        return is_constant_free(f.inner)
-    return is_constant_free(f.left) and is_constant_free(f.right)
+    return not any(isinstance(node, Const) for node in postorder(f))
+
+
+def _count(f: Formula, kinds: tuple[type, ...]) -> int:
+    """Occurrences of nodes of the given kinds.  Summed over children, so a
+    subterm shared by several parents counts once per occurrence."""
+    counts: dict[int, int] = {}
+    for node in postorder(f):
+        count = 1 if isinstance(node, kinds) else 0
+        if isinstance(node, Neg):
+            count += counts[id(node.inner)]
+        elif isinstance(node, (Con, Dis)):
+            count += counts[id(node.left)] + counts[id(node.right)]
+        counts[id(node)] = count
+    return counts[id(f)]
 
 
 def node_count(f: Formula) -> int:
-    """Number of AST nodes, counted iteratively so very deep formulas are fine."""
-    count = 0
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        count += 1
-        if isinstance(node, Neg):
-            stack.append(node.inner)
-        elif isinstance(node, (Con, Dis)):
-            stack.append(node.left)
-            stack.append(node.right)
-    return count
+    return _count(f, (Const, Lit, Neg, Con, Dis))
 
 
 def atoms_of(f: Formula) -> set[str]:
-    found: set[str] = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Lit):
-            found.add(node.atom)
-        elif isinstance(node, Neg):
-            stack.append(node.inner)
-        elif isinstance(node, (Con, Dis)):
-            stack.append(node.left)
-            stack.append(node.right)
-    return found
+    return {node.atom for node in postorder(f) if isinstance(node, Lit)}
 
 
 def atom_occurrences(f: Formula) -> int:
-    count = 0
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Lit):
-            count += 1
-        elif isinstance(node, Neg):
-            stack.append(node.inner)
-        elif isinstance(node, (Con, Dis)):
-            stack.append(node.left)
-            stack.append(node.right)
-    return count
+    return _count(f, (Lit,))
 
 
 def enumerate_formulas(alphabet: list[str], max_nodes: int) -> Iterator[Formula]:

@@ -141,13 +141,6 @@ def _star_formula(s: _Star) -> Formula:
     return Dis(_star_formula(s.left), _star_formula(s.right))
 
 
-def _is_con_kind(s: _Star) -> bool:
-    return isinstance(s, _StarCon)
-
-
-def _is_dis_kind(s: _Star) -> bool:
-    return isinstance(s, _StarDis)
-
 
 # --- closed-term combinators ------------------------------------------------
 # Each helper states the evaluation tree of its output in terms of its inputs.
@@ -185,7 +178,8 @@ def _disj_ff_tt(w: Formula, v: Formula) -> Formula:
 
 
 def _dual_tt(u: Formula) -> Formula:
-    # F-term whose tree is se(u) with all leaves flipped.
+    # F-term whose tree is se(u) with all leaves flipped, i.e. se(u)[T -> F]:
+    # the same branch skeleton as u.
     if u == TRUE:
         return FALSE
     assert isinstance(u, Dis) and isinstance(u.left, Con)
@@ -193,27 +187,12 @@ def _dual_tt(u: Formula) -> Formula:
 
 
 def _dual_ff(w: Formula) -> Formula:
-    # T-term whose tree is se(w) with all leaves flipped.
+    # T-term whose tree is se(w) with all leaves flipped, i.e. se(w)[F -> T]:
+    # the same branch skeleton as w.
     if w == FALSE:
         return TRUE
     assert isinstance(w, Con) and isinstance(w.left, Dis)
     return Dis(Con(w.left.left, _dual_ff(w.right)), _dual_ff(w.left.right))
-
-
-def _flip_ff(w: Formula) -> Formula:
-    # T-term with tree se(w)[F -> T] (same branch skeleton as w).
-    if w == FALSE:
-        return TRUE
-    assert isinstance(w, Con) and isinstance(w.left, Dis)
-    return Dis(Con(w.left.left, _flip_ff(w.right)), _flip_ff(w.left.right))
-
-
-def _fskel_tt(u: Formula) -> Formula:
-    # F-term with tree se(u)[T -> F] (same branch skeleton as u).
-    if u == TRUE:
-        return FALSE
-    assert isinstance(u, Dis) and isinstance(u.left, Con)
-    return Con(Dis(u.left.left, _fskel_tt(u.right)), _fskel_tt(u.left.right))
 
 
 # --- *-term combinators -----------------------------------------------------
@@ -268,7 +247,7 @@ def _ff_graft(s: _Star, w: Formula) -> _Star:
 
 def _and_star(s: _Star, t: _Star) -> _Star:
     # *-term with tree se(s)[T -> se(t), F -> F].
-    if _is_con_kind(t):
+    if isinstance(t, _StarCon):
         # s && (p && q) = (s && p) && q, reassociated until the right operand
         # is an l-term or d-term as the Pc production requires.
         return _and_star(_and_star(s, t.left), t.right)
@@ -277,7 +256,7 @@ def _and_star(s: _Star, t: _Star) -> _Star:
 
 def _or_star(s: _Star, t: _Star) -> _Star:
     # *-term with tree se(s)[T -> T, F -> se(t)].
-    if _is_dis_kind(t):
+    if isinstance(t, _StarDis):
         return _or_star(_or_star(s, t.left), t.right)
     return _StarDis(s, t)
 
@@ -354,8 +333,8 @@ def _nf_or(m: _Nf, n: _Nf) -> _Nf:
         if isinstance(n, _FF):
             return _FF(_disj_ff(m.term, n.term))
         if isinstance(n, _ST):
-            # se(m)[F -> se(s)] is the T*-tree of flip(m) && s.
-            return _TStar(_flip_ff(m.term), n.star)
+            # se(m)[F -> se(s)] is the T*-tree of dual(m) && s.
+            return _TStar(_dual_ff(m.term), n.star)
         return _TStar(_disj_ff_tt(m.term, n.tt), n.star)
     if isinstance(m, _ST):
         if isinstance(n, _TT):
@@ -366,7 +345,7 @@ def _nf_or(m: _Nf, n: _Nf) -> _Nf:
             return _ST(_or_star(m.star, n.star))
         # s || (v && s2): graft v's skeleton into the F slots of s, then let
         # s2 continue at every F leaf of the combined tree.
-        return _ST(_or_star(_ff_graft(m.star, _fskel_tt(n.tt)), n.star))
+        return _ST(_or_star(_ff_graft(m.star, _dual_tt(n.tt)), n.star))
     # (u && s) || y = u && (s || y) on trees: all leaves sit inside se(s).
     inner = _nf_or(_ST(m.star), n)
     if isinstance(inner, _ST):

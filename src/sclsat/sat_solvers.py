@@ -10,8 +10,9 @@ Five testers are provided:
 
     sat_brute_control  depth-first search of the evaluation tree, checking the
                        discipline at every true leaf; the reference oracle
-    sat_brute_force    the same search with discipline-aware pruning
-    sat_direct         linear bottom-up (satisfiable, falsifiable) recursion;
+    sat_brute_force    the same search, pruned to repetition-proof traces
+                       for RPSCL and CSCL
+    sat_direct         linear bottom-up (satisfiable, falsifiable) pass;
                        decides FSCL exactly
     sat_open           linear right-to-left guard propagation; decides RPSCL
                        and CSCL exactly
@@ -20,8 +21,7 @@ Five testers are provided:
                        and SSCL
 
 ``solve`` dispatches by strategy, routes "auto" to the decision procedure for
-the requested logic with a brute-force fallback, and verifies every witness
-before returning it.
+the requested logic, and verifies every witness before returning it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .eval_tree import Branch, EvalTree, Leaf, se
-from .formula_core import Con, Const, Dis, Formula, Lit, Neg
+from .formula_core import Con, Const, Dis, Formula, Lit, Neg, postorder
 from .paths import (
     PathDiscipline,
     ValuationPath,
@@ -124,23 +124,27 @@ def verify_witness(f: Formula, p: ValuationPath) -> bool:
 
 # --- brute-force search -----------------------------------------------------
 
+# A cons list ((atom, value), rest) of path entries; None is the empty list.
 _Cons = Optional[tuple[tuple[str, bool], "_Cons"]]  # type: ignore[misc]
 
 
 def _cons_to_path(cell: _Cons) -> ValuationPath:
+    """The entries of a cons list, head first."""
     entries = []
     while cell is not None:
         entries.append(cell[0])
         cell = cell[1]
-    entries.reverse()
     return tuple(entries)
 
 
-def sat_brute_control(logic: Logic, f: Formula) -> SatOutcome:
+def _search(logic: Logic, f: Formula, solver: str, prune: bool) -> SatOutcome:
     """Depth-first search of se(f), true branch first; the first true leaf
-    whose trace passes the logic's path discipline wins.  Never Unknown."""
+    whose trace passes the logic's path discipline wins.  With prune, a
+    branch on the atom just recorded only follows that atom's last value, so
+    every trace reached is repetition-proof.  Never Unknown."""
     visits = 0
     leaves = 0
+    # The trail holds the trace so far, latest entry first.
     stack: list[tuple[EvalTree, _Cons]] = [(se(f), None)]
     while stack:
         node, trail = stack.pop()
@@ -148,95 +152,57 @@ def sat_brute_control(logic: Logic, f: Formula) -> SatOutcome:
         if isinstance(node, Leaf):
             leaves += 1
             if node.value:
-                path = _cons_to_path(trail)
+                path = _cons_to_path(trail)[::-1]
                 if check_path(logic, path):
-                    return SatOutcome("yes", path, logic, "brute-control", visits, leaves)
-        else:
-            stack.append((node.right, ((node.atom, False), trail)))
-            stack.append((node.left, ((node.atom, True), trail)))
-    return SatOutcome("no", None, logic, "brute-control", visits, leaves)
-
-
-def sat_brute_force(logic: Logic, f: Formula) -> SatOutcome:
-    """Pruned depth-first search: FSCL accepts any true leaf without checking;
-    RPSCL/CSCL never descend into a branch that would flip the value of the
-    atom just recorded; MSCL/SSCL keep the unpruned control behavior."""
-    discipline = logic.discipline
-    if discipline is PathDiscipline.MEMORIZING:
-        out = sat_brute_control(logic, f)
-        return SatOutcome(out.answer, out.witness, logic, "brute-force",
-                          out.node_visits, out.leaves_explored)
-    visits = 0
-    leaves = 0
-    prune = discipline is PathDiscipline.REPETITION_PROOF
-    stack: list[tuple[EvalTree, _Cons]] = [(se(f), None)]
-    while stack:
-        node, trail = stack.pop()
-        visits += 1
-        if isinstance(node, Leaf):
-            leaves += 1
-            if node.value:
-                return SatOutcome("yes", _cons_to_path(trail), logic, "brute-force",
-                                  visits, leaves)
+                    return SatOutcome("yes", path, logic, solver, visits, leaves)
         elif prune and trail is not None and trail[0][0] == node.atom:
-            # Same atom again: only the direction matching its last value.
             forced = trail[0][1]
             child = node.left if forced else node.right
             stack.append((child, ((node.atom, forced), trail)))
         else:
             stack.append((node.right, ((node.atom, False), trail)))
             stack.append((node.left, ((node.atom, True), trail)))
-    return SatOutcome("no", None, logic, "brute-force", visits, leaves)
+    return SatOutcome("no", None, logic, solver, visits, leaves)
+
+
+def sat_brute_control(logic: Logic, f: Formula) -> SatOutcome:
+    """Unpruned search of se(f); the reference oracle."""
+    return _search(logic, f, "brute-control", prune=False)
+
+
+def sat_brute_force(logic: Logic, f: Formula) -> SatOutcome:
+    """Pruned search: RPSCL/CSCL never descend into a branch that would flip
+    the value of the atom just recorded; FSCL and MSCL/SSCL search like the
+    control.  Every true leaf satisfies FSCL, and every pruned trace is
+    repetition-proof, so for those logics the first true leaf wins."""
+    prune = logic.discipline is PathDiscipline.REPETITION_PROOF
+    return _search(logic, f, "brute-force", prune)
 
 
 # --- direct solver ----------------------------------------------------------
 
-def _sat_fal_flags(f: Formula) -> tuple[dict[int, tuple[bool, bool]], int]:
-    """Bottom-up (satisfiable, falsifiable) flags per subformula, each node
-    computed once (keyed by identity, so shared subterms are reused)."""
+def _sat_fal_flags(f: Formula) -> dict[int, tuple[bool, bool]]:
+    """Bottom-up (satisfiable, falsifiable) flags per distinct subformula,
+    keyed by identity, so shared subterms are computed once."""
     flags: dict[int, tuple[bool, bool]] = {}
-    visits = 0
-    stack = [f]
-    while stack:
-        node = stack[-1]
-        if id(node) in flags:
-            stack.pop()
-            continue
+    for node in postorder(f):
         if isinstance(node, Const):
             flags[id(node)] = (node.value, not node.value)
-            visits += 1
-            stack.pop()
         elif isinstance(node, Lit):
             flags[id(node)] = (True, True)
-            visits += 1
-            stack.pop()
         elif isinstance(node, Neg):
-            inner = flags.get(id(node.inner))
-            if inner is None:
-                stack.append(node.inner)
-                continue
-            flags[id(node)] = (inner[1], inner[0])
-            visits += 1
-            stack.pop()
+            sat, fal = flags[id(node.inner)]
+            flags[id(node)] = (fal, sat)
         else:
-            left = flags.get(id(node.left))
-            right = flags.get(id(node.right))
-            if left is None or right is None:
-                if right is None:
-                    stack.append(node.right)
-                if left is None:
-                    stack.append(node.left)
-                continue
+            left_sat, left_fal = flags[id(node.left)]
+            right_sat, right_fal = flags[id(node.right)]
             if isinstance(node, Con):
-                sat = left[0] and right[0]
-                fal = left[1] or (left[0] and right[1])
+                flags[id(node)] = (left_sat and right_sat,
+                                   left_fal or (left_sat and right_fal))
             else:
-                sat = left[0] or (left[1] and right[0])
-                fal = left[1] and right[1]
-            flags[id(node)] = (sat, fal)
-            visits += 1
-            stack.pop()
-    return flags, visits
+                flags[id(node)] = (left_sat or (left_fal and right_sat),
+                                   left_fal and right_fal)
+    return flags
 
 
 def sat_direct(logic: Logic, f: Formula) -> SatOutcome:
@@ -245,7 +211,8 @@ def sat_direct(logic: Logic, f: Formula) -> SatOutcome:
     stricter logics the candidate either passes the discipline check (Yes) or
     leaves the question open (Unknown); FSCL-unsatisfiable is No for every
     logic."""
-    flags, visits = _sat_fal_flags(f)
+    flags = _sat_fal_flags(f)
+    visits = len(flags)
     if not flags[id(f)][0]:
         return SatOutcome("no", None, logic, "direct", visits, 0)
     entries: list[tuple[str, bool]] = []
@@ -295,14 +262,6 @@ def sat_direct(logic: Logic, f: Formula) -> SatOutcome:
 # (atom, cons_if_true, cons_if_false) holds one complete continuation per
 # possible first entry.  Paths are shared suffix cons lists.
 _EMPTY = object()
-
-
-def _suffix_to_path(cell) -> ValuationPath:
-    entries = []
-    while cell is not None:
-        entries.append(cell[0])
-        cell = cell[1]
-    return tuple(entries)
 
 
 def _lit_slot(atom: str, value: bool, guard):
@@ -388,7 +347,7 @@ def sat_open(logic: Logic, f: Formula) -> SatOutcome:
         path: ValuationPath = ()
     else:
         _, slot_true, slot_false = final
-        path = _suffix_to_path(slot_true if slot_true is not None else slot_false)
+        path = _cons_to_path(slot_true if slot_true is not None else slot_false)
     if logic in (Logic.MSCL, Logic.SSCL) and not is_memorizing(path):
         return SatOutcome("unknown", None, logic, "open", visits, 0)
     return SatOutcome("yes", path, logic, "open", visits, 0)
@@ -398,45 +357,28 @@ def sat_open(logic: Logic, f: Formula) -> SatOutcome:
 
 def _tseitin(f: Formula) -> tuple[list[list[int]], dict[str, int], int]:
     """CNF whose models are the boolean assignments making f classically true.
-    Returns (clauses, atom variable map, variable count)."""
+    Returns (clauses, atom variable map, variable count).  Variables are
+    numbered in post-order, one per constant and connective and one per atom
+    at its first occurrence; a negation reuses its operand's variable."""
     atom_var: dict[str, int] = {}
     clauses: list[list[int]] = []
     next_var = 0
     lit_of: dict[int, int] = {}
-
-    stack = [f]
-    while stack:
-        node = stack[-1]
-        if id(node) in lit_of:
-            stack.pop()
-            continue
+    for node in postorder(f):
         if isinstance(node, Const):
             next_var += 1
             clauses.append([next_var if node.value else -next_var])
             lit_of[id(node)] = next_var
-            stack.pop()
         elif isinstance(node, Lit):
             if node.atom not in atom_var:
                 next_var += 1
                 atom_var[node.atom] = next_var
             lit_of[id(node)] = atom_var[node.atom]
-            stack.pop()
         elif isinstance(node, Neg):
-            inner = lit_of.get(id(node.inner))
-            if inner is None:
-                stack.append(node.inner)
-                continue
-            lit_of[id(node)] = -inner
-            stack.pop()
+            lit_of[id(node)] = -lit_of[id(node.inner)]
         else:
-            left = lit_of.get(id(node.left))
-            right = lit_of.get(id(node.right))
-            if left is None or right is None:
-                if right is None:
-                    stack.append(node.right)
-                if left is None:
-                    stack.append(node.left)
-                continue
+            left = lit_of[id(node.left)]
+            right = lit_of[id(node.right)]
             next_var += 1
             g = next_var
             if isinstance(node, Con):
@@ -448,7 +390,6 @@ def _tseitin(f: Formula) -> tuple[list[list[int]], dict[str, int], int]:
                 clauses.append([-left, g])
                 clauses.append([-right, g])
             lit_of[id(node)] = g
-            stack.pop()
     clauses.append([lit_of[id(f)]])
     return clauses, atom_var, next_var
 
@@ -593,14 +534,18 @@ def _auto_solver(logic: Logic) -> Callable[[Logic, Formula], SatOutcome]:
 
 def solve(logic: Logic, f: Formula, strategy: str = "auto") -> SatOutcome:
     """Dispatch to a solver.  "auto" routes each logic to its decision
-    procedure (FSCL -> direct, RPSCL/CSCL -> open, MSCL/SSCL -> boolean) and
-    falls back to brute-control on Unknown, so it never answers Unknown.
-    Every Yes is re-verified against the evaluation tree and the logic's path
-    discipline before being returned."""
+    procedure (FSCL -> direct, RPSCL/CSCL -> open, MSCL/SSCL -> boolean),
+    each exact on that logic, so it never answers Unknown; an Unknown from
+    one of them is a bug and raises RuntimeError.  Every Yes is re-verified
+    against the evaluation tree and the logic's path discipline before being
+    returned."""
     if strategy == "auto":
         outcome = _auto_solver(logic)(logic, f)
         if outcome.answer == "unknown":
-            outcome = sat_brute_control(logic, f)
+            raise RuntimeError(
+                f"solver {outcome.solver!r} answered unknown on {logic.value}, "
+                f"where it is a decision procedure"
+            )
     else:
         try:
             solver = _STRATEGIES[strategy]

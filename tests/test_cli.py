@@ -85,6 +85,12 @@ class TestSat:
         code, _, _ = run(capsys, "frobnicate", "a")
         assert code == EXIT_USAGE
 
+    def test_deep_negation(self, capsys):
+        code, out, _ = run(capsys, "sat", "!" * 3000 + "a")
+        assert code == EXIT_YES
+        assert "answer: yes" in out
+        assert "witness: [(a,T)]" in out
+
 
 class TestTree:
     def test_text(self, capsys):

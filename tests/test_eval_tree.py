@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sclsat.eval_tree import (
+    _TREE_TOKEN_RE,
     Branch,
     FALSE_LEAF,
     Leaf,
@@ -25,6 +26,7 @@ from sclsat.formula_core import (
     Neg,
     enumerate_formulas,
     is_constant_free,
+    is_valid_atom,
     node_count,
     parse,
 )
@@ -55,6 +57,70 @@ def se_reference(f):
     if isinstance(f, Con):
         return substitute(se_reference(f.left), se_reference(f.right), FALSE_LEAF)
     return substitute(se_reference(f.left), TRUE_LEAF, se_reference(f.right))
+
+
+def parse_tree_reference(text):
+    """Recursive-descent inverse of render_tree, the oracle for parse_tree."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _TREE_TOKEN_RE.match(text, pos)
+        if match is None:
+            if not text[pos:].strip():
+                break
+            raise TreeParseError(f"unexpected input at position {pos}")
+        tokens.append((match.lastgroup, match.group(match.lastgroup)))
+        pos = match.end()
+    index = 0
+
+    def operand():
+        nonlocal index
+        if index >= len(tokens):
+            raise TreeParseError("unexpected end of input")
+        kind, value = tokens[index]
+        if kind == "lpar":
+            index += 1
+            inner = tree()
+            if index >= len(tokens) or tokens[index][0] != "rpar":
+                raise TreeParseError("expected ')'")
+            index += 1
+            return inner
+        if kind == "word":
+            index += 1
+            if value in ("T", "F"):
+                return TRUE_LEAF if value == "T" else FALSE_LEAF
+            raise TreeParseError(f"expected leaf or '(', found atom {value!r}")
+        raise TreeParseError(f"unexpected token {value!r}")
+
+    def tree():
+        nonlocal index
+        left = operand()
+        if index < len(tokens) and tokens[index][0] == "lt":
+            index += 1
+            if index >= len(tokens) or tokens[index][0] != "word" or not is_valid_atom(tokens[index][1]):
+                raise TreeParseError("expected atom after '<'")
+            atom = tokens[index][1]
+            index += 1
+            if index >= len(tokens) or tokens[index][0] != "gt":
+                raise TreeParseError("expected '>'")
+            index += 1
+            return Branch(left, atom, operand())
+        return left
+
+    result = tree()
+    if index != len(tokens):
+        raise TreeParseError("unexpected trailing input")
+    return result
+
+
+def tree_parse_outcome(parser, text):
+    try:
+        return ("tree", parser(text))
+    except TreeParseError as exc:
+        return ("error", str(exc))
+
+
+_TREE_TOKENS = ["T", "F", "a", "b", "<", ">", "(", ")", "@"]
 
 
 def _or_chain(n):
@@ -195,6 +261,17 @@ class TestTreeText:
     def test_deep_chain(self):
         expected = "(" * 19999 + "T < x0 > F" + "".join(f") < x{i} > F" for i in range(1, 20000))
         assert render_tree(se(_deep_chain())) == expected
+
+    @pytest.mark.parametrize("make", [lambda: parse(_flat_chain(1200)), _deep_chain], ids=["flat_chain", "deep_chain"])
+    def test_deep_round_trip(self, make):
+        # Compared as text: dataclass == recurses once per level.
+        text = render_tree(se(make()))
+        assert render_tree(parse_tree(text)) == text
+
+    @settings(max_examples=400)
+    @given(st.lists(st.sampled_from(_TREE_TOKENS), max_size=12).map(" ".join))
+    def test_parse_matches_reference(self, text):
+        assert tree_parse_outcome(parse_tree, text) == tree_parse_outcome(parse_tree_reference, text)
 
     def test_cli_flat_chain(self, capsys):
         code, out, _ = run(capsys, "tree", _flat_chain(1200))

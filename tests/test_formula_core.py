@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sclsat.formula_core import (
     Con,
@@ -19,8 +19,10 @@ from sclsat.formula_core import (
     is_valid_atom,
     node_count,
     parse,
+    postorder,
     render,
 )
+from sclsat import formula_core
 
 
 def formulas(atoms=("a", "b", "c"), max_leaves=8):
@@ -177,3 +179,250 @@ class TestStructuralHelpers:
             f = Con(Lit(f"x{i}"), f)
         assert node_count(f) == 59999
         assert atom_occurrences(f) == 30000
+
+
+# --- oracles: the recursive and hand-stacked walkers and the recursive-descent
+# parser that the folds over postorder and the iterative parser replaced ---
+
+def render_reference(f, parent_prec=0):
+    if isinstance(f, Const):
+        return "T" if f.value else "F"
+    if isinstance(f, Lit):
+        return f.atom
+    if isinstance(f, Neg):
+        return "!" + render_reference(f.inner, 3)
+    if isinstance(f, Con):
+        text = render_reference(f.left, 2) + " && " + render_reference(f.right, 3)
+        return f"({text})" if parent_prec > 2 else text
+    text = render_reference(f.left, 1) + " || " + render_reference(f.right, 2)
+    return f"({text})" if parent_prec > 1 else text
+
+
+def expand_reference(f):
+    if isinstance(f, Const):
+        return f if f.value else Neg(TRUE)
+    if isinstance(f, Lit):
+        return f
+    if isinstance(f, Neg):
+        return Neg(expand_reference(f.inner))
+    if isinstance(f, Con):
+        return Con(expand_reference(f.left), expand_reference(f.right))
+    return Neg(Con(Neg(expand_reference(f.left)), Neg(expand_reference(f.right))))
+
+
+def complexity_reference(f):
+    def cx(g):
+        if isinstance(g, (Const, Lit)):
+            return 0
+        if isinstance(g, Neg):
+            return 1 + cx(g.inner)
+        return 1 + max(cx(g.left), cx(g.right))
+
+    return cx(expand_reference(f))
+
+
+def constant_free_reference(f):
+    if isinstance(f, Const):
+        return False
+    if isinstance(f, Lit):
+        return True
+    if isinstance(f, Neg):
+        return constant_free_reference(f.inner)
+    return constant_free_reference(f.left) and constant_free_reference(f.right)
+
+
+def nodes_reference(f):
+    """Every node occurrence, pre-order, with an explicit stack."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Neg):
+            stack.append(node.inner)
+        elif isinstance(node, (Con, Dis)):
+            stack.append(node.left)
+            stack.append(node.right)
+
+
+class ParserReference:
+    """Recursive-descent parser for the same grammar."""
+
+    def __init__(self, text):
+        self.text = text
+        self.tokens = formula_core._tokenize(text)
+        self.index = 0
+
+    def _peek(self):
+        return self.tokens[self.index] if self.index < len(self.tokens) else None
+
+    def _advance(self):
+        self.index += 1
+        return self.tokens[self.index - 1]
+
+    def _expect(self, kind):
+        token = self._peek()
+        if token is None:
+            raise ParseError(f"unexpected end of input, expected {kind}", len(self.text))
+        if token[0] != kind:
+            raise ParseError(f"expected {kind}, found {token[1]!r}", token[2])
+        return self._advance()
+
+    def parse(self):
+        formula = self._dis()
+        token = self._peek()
+        if token is not None:
+            raise ParseError(f"unexpected trailing input {token[1]!r}", token[2])
+        return formula
+
+    def _dis(self):
+        left = self._con()
+        while (token := self._peek()) is not None and token[0] == "or":
+            self._advance()
+            left = Dis(left, self._con())
+        return left
+
+    def _con(self):
+        left = self._unary()
+        while (token := self._peek()) is not None and token[0] == "and":
+            self._advance()
+            left = Con(left, self._unary())
+        return left
+
+    def _unary(self):
+        token = self._peek()
+        if token is None:
+            raise ParseError("unexpected end of input", len(self.text))
+        kind, value, pos = token
+        if kind == "not":
+            self._advance()
+            return Neg(self._unary())
+        if kind == "lpar":
+            self._advance()
+            inner = self._dis()
+            self._expect("rpar")
+            return inner
+        if kind == "word":
+            self._advance()
+            return TRUE if value == "T" else FALSE if value == "F" else Lit(value)
+        raise ParseError(f"unexpected token {value!r}", pos)
+
+
+def parse_outcome(parser, text):
+    try:
+        return ("tree", parser(text))
+    except ParseError as exc:
+        return ("error", str(exc), exc.position)
+
+
+def same_formula(f, g):
+    """Structural equality with an explicit stack (dataclass == recurses)."""
+    stack = [(f, g)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, Const):
+            if x.value != y.value:
+                return False
+        elif isinstance(x, Lit):
+            if x.atom != y.atom:
+                return False
+        elif isinstance(x, Neg):
+            stack.append((x.inner, y.inner))
+        else:
+            stack.append((x.left, y.left))
+            stack.append((x.right, y.right))
+    return True
+
+
+SUITE = list(enumerate_formulas(["a", "b"], 7))
+
+
+class TestWalkersMatchReferences:
+    def test_exhaustive_suite(self):
+        assert len(SUITE) == 22140
+        for f in SUITE:
+            assert render(f) == render_reference(f)
+            assert expand_abbreviations(f) == expand_reference(f)
+            assert complexity(f) == complexity_reference(f)
+            assert is_constant_free(f) == constant_free_reference(f)
+            occurrences = list(nodes_reference(f))
+            assert node_count(f) == len(occurrences)
+            lits = [node.atom for node in occurrences if isinstance(node, Lit)]
+            assert atom_occurrences(f) == len(lits)
+            assert atoms_of(f) == set(lits)
+
+    def test_postorder_visits_distinct_nodes_children_first(self):
+        shared = parse("a && !b")
+        f = Dis(Con(shared, Neg(shared)), shared)
+        order = list(postorder(f))
+        assert len(order) == len({id(node) for node in order}) == 7
+        position = {id(node): i for i, node in enumerate(order)}
+        for node in order:
+            children = [node.inner] if isinstance(node, Neg) else (
+                [node.left, node.right] if isinstance(node, (Con, Dis)) else [])
+            assert all(position[id(child)] < position[id(node)] for child in children)
+        assert order[-1] is f
+        assert [render(node) for node in order[:4]] == ["a", "b", "!b", "a && !b"]
+        # Shared subterms count once per occurrence.
+        assert node_count(f) == 15
+        assert atom_occurrences(f) == 6
+
+
+_TOKENS = ["a", "b", "T", "F", "!", "&&", "||", "(", ")", " ", "@", "ab_1"]
+
+
+class TestParserMatchesReference:
+    @settings(max_examples=400)
+    @given(st.lists(st.sampled_from(_TOKENS), max_size=14).map(" ".join))
+    def test_random_token_strings(self, text):
+        assert parse_outcome(parse, text) == parse_outcome(lambda t: ParserReference(t).parse(), text)
+
+    @settings(max_examples=200)
+    @given(formulas(max_leaves=12))
+    def test_rendered_formulas(self, f):
+        text = render(f)
+        assert parse(text) == ParserReference(text).parse() == f
+
+    @pytest.mark.parametrize("text", ["", "a &&", "(a", "(a b", "a)", "!", "(a || b", "a && (b || c)) || d", "&& a", "!(!a"])
+    def test_malformed(self, text):
+        assert parse_outcome(parse, text)[0] == "error"
+        assert parse_outcome(parse, text) == parse_outcome(lambda t: ParserReference(t).parse(), text)
+
+
+def _criterion_10_chain():
+    f = Lit("x0")
+    for i in range(1, 5000):
+        f = Con(Lit(f"x{i}"), f)
+    return Neg(f)
+
+
+class TestDeepInputs:
+    """Every public walker on inputs far deeper than the recursion limit."""
+
+    @pytest.mark.parametrize(
+        "make, nodes, occurrences, atoms, cx",
+        [
+            (_criterion_10_chain, 10000, 5000, 5000, 5000),
+            (lambda: parse("!" * 3000 + "a"), 3001, 1, 1, 3000),
+            (lambda: parse("(" * 3000 + "a" + ")" * 3000), 1, 1, 1, 0),
+        ],
+        ids=["chain_10000", "negations_3000", "parentheses_3000"],
+    )
+    def test_walkers(self, make, nodes, occurrences, atoms, cx):
+        f = make()
+        assert node_count(f) == nodes
+        assert sum(1 for _ in postorder(f)) == nodes
+        assert atom_occurrences(f) == occurrences
+        assert len(atoms_of(f)) == atoms
+        assert complexity(f) == cx
+        assert is_constant_free(f)
+        assert same_formula(expand_abbreviations(f), f)
+        assert same_formula(parse(render(f)), f)
+
+    def test_deep_abbreviations(self):
+        f = parse("!" * 3000 + "(a || F)")
+        assert complexity(f) == 3000 + 3 + 1
+        expanded = expand_abbreviations(f)
+        assert not any(isinstance(node, Dis) for node in postorder(expanded))
+        assert render(expanded).endswith("!(!a && !!T)")

@@ -1,12 +1,16 @@
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings
 
 from sclsat.eval_tree import leaf_profile, se
-from sclsat.formula_core import Con, Lit, Neg, node_count, parse
+from sclsat import sat_solvers
+from sclsat.formula_core import Con, Const, Lit, Neg, node_count, parse
 from sclsat.sat_solvers import (
     Logic,
+    _sat_fal_flags,
+    _tseitin,
     check_path,
     falsify,
     sat_boolean,
@@ -164,3 +168,135 @@ class TestDispatch:
         out = solve(Logic.SSCL, parse("a && !a"))
         assert out.witness is None
         assert json.loads(out.to_json())["witness"] is None
+
+
+# --- oracles: the hand-stacked flag pass and Tseitin encoding that the folds
+# over postorder replaced ---
+
+def flags_reference(f):
+    flags = {}
+    visits = 0
+    stack = [f]
+    while stack:
+        node = stack[-1]
+        if id(node) in flags:
+            stack.pop()
+            continue
+        if isinstance(node, Const):
+            flags[id(node)] = (node.value, not node.value)
+        elif isinstance(node, Lit):
+            flags[id(node)] = (True, True)
+        elif isinstance(node, Neg):
+            inner = flags.get(id(node.inner))
+            if inner is None:
+                stack.append(node.inner)
+                continue
+            flags[id(node)] = (inner[1], inner[0])
+        else:
+            left = flags.get(id(node.left))
+            right = flags.get(id(node.right))
+            if left is None or right is None:
+                if right is None:
+                    stack.append(node.right)
+                if left is None:
+                    stack.append(node.left)
+                continue
+            if isinstance(node, Con):
+                flags[id(node)] = (left[0] and right[0], left[1] or (left[0] and right[1]))
+            else:
+                flags[id(node)] = (left[0] or (left[1] and right[0]), left[1] and right[1])
+        visits += 1
+        stack.pop()
+    return flags, visits
+
+
+def tseitin_reference(f):
+    atom_var = {}
+    clauses = []
+    next_var = 0
+    lit_of = {}
+    stack = [f]
+    while stack:
+        node = stack[-1]
+        if id(node) in lit_of:
+            stack.pop()
+            continue
+        if isinstance(node, Const):
+            next_var += 1
+            clauses.append([next_var if node.value else -next_var])
+            lit_of[id(node)] = next_var
+        elif isinstance(node, Lit):
+            if node.atom not in atom_var:
+                next_var += 1
+                atom_var[node.atom] = next_var
+            lit_of[id(node)] = atom_var[node.atom]
+        elif isinstance(node, Neg):
+            inner = lit_of.get(id(node.inner))
+            if inner is None:
+                stack.append(node.inner)
+                continue
+            lit_of[id(node)] = -inner
+        else:
+            left = lit_of.get(id(node.left))
+            right = lit_of.get(id(node.right))
+            if left is None or right is None:
+                if right is None:
+                    stack.append(node.right)
+                if left is None:
+                    stack.append(node.left)
+                continue
+            next_var += 1
+            g = next_var
+            if isinstance(node, Con):
+                clauses += [[-g, left], [-g, right], [-left, -right, g]]
+            else:
+                clauses += [[-g, left, right], [-left, g], [-right, g]]
+            lit_of[id(node)] = g
+        stack.pop()
+    clauses.append([lit_of[id(f)]])
+    return clauses, atom_var, next_var
+
+
+SUITE = list(enumerate_formulas(["a", "b"], 7))
+
+# SHA-256 over repr((answer, witness, logic, solver, node_visits,
+# leaves_explored)) of solve(logic, f, strategy) for every f in SUITE and
+# every logic, in order, recorded from the hand-written walkers and the
+# separate brute-force loops before they were folded together.
+OUTCOME_DIGESTS = {
+    "brute-control": "e37cfdeb1af50691a11b8625519f686d3154c91b043eb58ef28fa269651154dd",
+    "brute-force": "ba8d212b4d6ffcb1ea8598e331af2cf6980b37e23699336ae824b6b8cc465ac0",
+    "direct": "bdbd0c6783cbac07c7dd0822e4432d19681822e24b1b830f1e4f48f2369c8644",
+    "open": "90f74cedbf7157f03da45a14d1f7591ddb459655ffb141d150ac5b28f2f52a3b",
+    "boolean": "6c83dc415d5307f6d505d80b8fcf689253c6254a2da2266c12091ceedef8fcfa",
+    "auto": "c7719af2580ef1da400227be0058b81ad8dd77b2dc440d9a67d632b368a11899",
+}
+
+
+class TestUnchangedOnSuite:
+    def test_folds_match_references(self):
+        assert len(SUITE) == 22140
+        for f in SUITE:
+            assert _tseitin(f) == tseitin_reference(f)
+            flags = _sat_fal_flags(f)
+            expected_flags, expected_visits = flags_reference(f)
+            assert list(flags.items()) == list(expected_flags.items())
+            assert len(flags) == expected_visits
+
+    @pytest.mark.parametrize("strategy", list(OUTCOME_DIGESTS))
+    def test_every_outcome_field(self, strategy):
+        digest = hashlib.sha256()
+        for f in SUITE:
+            for logic in ALL_LOGICS:
+                out = solve(logic, f, strategy)
+                digest.update(repr((out.answer, out.witness, out.logic.value, out.solver,
+                                    out.node_visits, out.leaves_explored)).encode())
+        assert digest.hexdigest() == OUTCOME_DIGESTS[strategy]
+
+
+def test_auto_unknown_raises(monkeypatch):
+    # The auto procedures are exact on their logics; an Unknown from one is a
+    # bug, never a cue to fall back to exponential search.
+    monkeypatch.setattr(sat_solvers, "_auto_solver", lambda logic: sat_direct)
+    with pytest.raises(RuntimeError, match="unknown"):
+        solve(Logic.MSCL, parse("a && !a"))
