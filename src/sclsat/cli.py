@@ -81,11 +81,7 @@ def _witness_constructor(p):
 
 
 def cmd_sat(args: argparse.Namespace) -> int:
-    try:
-        f = _read_formula(args.formula)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    f = _read_formula(args.formula)
     logic = _parse_logic(args.logic)
     outcome = solve(logic, f, args.strategy)
     if args.output == "json":
@@ -111,27 +107,15 @@ def cmd_sat(args: argparse.Namespace) -> int:
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
-    try:
-        f = _read_formula(args.formula)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    f = _read_formula(args.formula)
     t = se(f)
     print(export_dot(t) if args.dot else render_tree(t))
     return EXIT_YES
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        f = _read_formula(args.formula)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        p = parse_path(args.path)
-    except PathParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    f = _read_formula(args.formula)
+    p = parse_path(args.path)
     logic = _parse_logic(args.logic)
     r = result(p, se(f))
     if r is None:
@@ -157,11 +141,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    try:
-        f = _read_formula(args.formula)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    f = _read_formula(args.formula)
     nf = normalize(f)
     print(render(nf))
     print(f"class: {classify_nf(nf).value}")
@@ -273,7 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ParseError, PathParseError) as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -5,6 +5,10 @@ with atoms and whose leaves are truth values.  The left child is taken when the
 atom evaluates to true, the right child when it evaluates to false.  The tree
 se(f) encodes exactly the left-sequential short-circuit evaluation of f.
 
+fold_se computes se_k(f, t, e) = se(f)[T -> t, F -> e] right to left with a
+caller's rule in place of each branch: se builds Branch nodes with it,
+sat_solvers.sat_open guards and normal_form closed terms.
+
 Trees are immutable and may share subtrees.  se(f) returns a shared DAG, equal
 under ``==`` to the tree, with O(|f|) distinct nodes where the tree itself can
 have exponentially many leaves.  substitute, depth and leaf_profile work over
@@ -69,41 +73,60 @@ def se(f: Formula) -> EvalTree:
         se(x && y) = se(x)[T -> se(y), F -> F]
 
     plus the derived rules se(F) = F and se(x || y) = se(x)[T -> T, F -> se(y)].
+    A shared DAG of at most |f| + 2 distinct nodes, equal under ``==`` to the
+    tree: fold_se makes one Branch per atom occurrence.
+    """
+    return fold_se(f, TRUE_LEAF, FALSE_LEAF, _branch)[0]
 
-    Built right to left by passing down the trees for a true and a false
-    outcome, se_k(f, t, e) = se(f)[T -> t, F -> e]:
 
-        se_k(a, t, e) = t <| a |> e        se_k(!x, t, e) = se_k(x, e, t)
+def _branch(t: EvalTree, lit: Lit, e: EvalTree) -> EvalTree:
+    return Branch(t, lit.atom, e)
+
+
+# The value the right operand left on the results stack; not None, which
+# sat_solvers.sat_open uses as a continuation.
+_PENDING = object()
+
+
+def fold_se(f: Formula, t: V, e: V, branch: Callable[[V, Lit, V], V]) -> tuple[V, int]:
+    """se_k(f, t, e) = se(f)[T -> t, F -> e] with branch(t', lit, e') in place
+    of each Branch, computed right to left, and the number of formula nodes
+    visited:
+
+        se_k(T, t, e) = t                  se_k(F, t, e) = e
+        se_k(a, t, e) = branch(t, a, e)    se_k(!x, t, e) = se_k(x, e, t)
         se_k(x && y, t, e) = se_k(x, se_k(y, t, e), e)
         se_k(x || y, t, e) = se_k(x, t, se_k(y, t, e))
 
-    Every formula node is visited once and every atom occurrence makes one
-    Branch, so the result is a shared DAG of at most |f| + 2 distinct nodes,
-    equal under ``==`` to the tree.
+    Each node occurrence is visited once on an explicit stack, and each right
+    operand's value is shared by the left operand's leaves.  Raises TypeError
+    on a node that is not a formula.
     """
-    # Work items (node, t, e); a continuation of None is the tree the
-    # right operand left on the results stack.
-    results: list[EvalTree] = []
-    stack: list[tuple[Formula, EvalTree | None, EvalTree | None]] = [(f, TRUE_LEAF, FALSE_LEAF)]
+    visits = 0
+    results: list[V] = []
+    stack: list[tuple[Formula, object, object]] = [(f, t, e)]
     while stack:
         node, t, e = stack.pop()
-        if t is None:
+        if t is _PENDING:
             t = results.pop()
-        elif e is None:
+        elif e is _PENDING:
             e = results.pop()
+        visits += 1
         if isinstance(node, Const):
             results.append(t if node.value else e)
         elif isinstance(node, Lit):
-            results.append(Branch(t, node.atom, e))
+            results.append(branch(t, node, e))
         elif isinstance(node, Neg):
             stack.append((node.inner, e, t))
         elif isinstance(node, Con):
-            stack.append((node.left, None, e))
+            stack.append((node.left, _PENDING, e))
+            stack.append((node.right, t, e))
+        elif isinstance(node, Dis):
+            stack.append((node.left, t, _PENDING))
             stack.append((node.right, t, e))
         else:
-            stack.append((node.left, t, None))
-            stack.append((node.right, t, e))
-    return results[0]
+            raise TypeError(f"not a formula: {node!r}")
+    return results[0], visits
 
 
 def _fold(t: EvalTree, leaf: Callable[[Leaf], V], branch: Callable[[Branch, V, V], V]) -> V:

@@ -21,6 +21,10 @@ rule below preserves the evaluation tree exactly; the key identities are
     se(p && q) = se(p)[T -> se(q), F -> F]
     se(p || q) = se(p)[T -> T, F -> se(q)]
 
+Closed terms are rebuilt by se_k (eval_tree.fold_se) over formulas, with the
+leaf rule _t_lit(t, a, e) = (a && t) || e for T-terms and _f_lit(t, a, e) =
+(a || e) && t for F-terms.
+
 The output satisfies se(normalize(f)) = se(f) and classifies as a T-term,
 F-term, or T*-term.  No canonicity beyond tree equality is guaranteed.
 """
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
+from .eval_tree import fold_se
 from .formula_core import Con, Const, Dis, FALSE, Formula, Lit, Neg, TRUE
 
 
@@ -141,92 +146,32 @@ def _star_formula(s: _Star) -> Formula:
     return Dis(_star_formula(s.left), _star_formula(s.right))
 
 
+# --- closed-term rules -----------------------------------------------------
+# A T-term (_tt) resp. F-term (_ff) with tree se(x)[T -> se(t), F -> se(e)].
+# A continuation x's tree never reaches (F in a T-term) may be None.
 
-# --- closed-term combinators ------------------------------------------------
-# Each helper states the evaluation tree of its output in terms of its inputs.
-
-def _conj_tt(u: Formula, v: Formula) -> Formula:
-    # T-term with tree se(u)[T -> se(v)].
-    if u == TRUE:
-        return v
-    assert isinstance(u, Dis) and isinstance(u.left, Con)
-    return Dis(Con(u.left.left, _conj_tt(u.left.right, v)), _conj_tt(u.right, v))
+def _t_lit(t: Formula, lit: Lit, e: Formula) -> Formula:
+    return Dis(Con(lit, t), e)
 
 
-def _push_ff(u: Formula, w: Formula) -> Formula:
-    # F-term with tree se(u)[T -> se(w)], for a T-term u and F-term w.
-    if u == TRUE:
-        return w
-    assert isinstance(u, Dis) and isinstance(u.left, Con)
-    return Con(Dis(u.left.left, _push_ff(u.right, w)), _push_ff(u.left.right, w))
+def _f_lit(t: Formula, lit: Lit, e: Formula) -> Formula:
+    return Con(Dis(lit, e), t)
 
 
-def _disj_ff(w: Formula, v: Formula) -> Formula:
-    # F-term with tree se(w)[F -> se(v)], for F-terms w and v.
-    if w == FALSE:
-        return v
-    assert isinstance(w, Con) and isinstance(w.left, Dis)
-    return Con(Dis(w.left.left, _disj_ff(w.left.right, v)), _disj_ff(w.right, v))
+def _tt(x: Formula, t: Formula | None, e: Formula | None) -> Formula:
+    return fold_se(x, t, e, _t_lit)[0]
 
 
-def _disj_ff_tt(w: Formula, v: Formula) -> Formula:
-    # T-term with tree se(w)[F -> se(v)], for an F-term w and T-term v.
-    if w == FALSE:
-        return v
-    assert isinstance(w, Con) and isinstance(w.left, Dis)
-    return Dis(Con(w.left.left, _disj_ff_tt(w.right, v)), _disj_ff_tt(w.left.right, v))
-
-
-def _dual_tt(u: Formula) -> Formula:
-    # F-term whose tree is se(u) with all leaves flipped, i.e. se(u)[T -> F]:
-    # the same branch skeleton as u.
-    if u == TRUE:
-        return FALSE
-    assert isinstance(u, Dis) and isinstance(u.left, Con)
-    return Con(Dis(u.left.left, _dual_tt(u.right)), _dual_tt(u.left.right))
-
-
-def _dual_ff(w: Formula) -> Formula:
-    # T-term whose tree is se(w) with all leaves flipped, i.e. se(w)[F -> T]:
-    # the same branch skeleton as w.
-    if w == FALSE:
-        return TRUE
-    assert isinstance(w, Con) and isinstance(w.left, Dis)
-    return Dis(Con(w.left.left, _dual_ff(w.right)), _dual_ff(w.left.right))
+def _ff(x: Formula, t: Formula | None, e: Formula | None) -> Formula:
+    return fold_se(x, t, e, _f_lit)[0]
 
 
 # --- *-term combinators -----------------------------------------------------
 
-def _star_to_ff(s: _Star, tcont: Formula, fcont: Formula) -> Formula:
-    # F-term with tree se(s)[T -> se(tcont), F -> se(fcont)]; tcont, fcont F-terms.
-    if isinstance(s, _StarLit):
-        taken = _push_ff(s.tt, tcont)
-        skipped = _disj_ff(s.ff, fcont)
-        if s.positive:
-            return Con(Dis(Lit(s.atom), skipped), taken)
-        return Con(Dis(Lit(s.atom), taken), skipped)
-    if isinstance(s, _StarCon):
-        return _star_to_ff(s.left, _star_to_ff(s.right, tcont, fcont), fcont)
-    return _star_to_ff(s.left, tcont, _star_to_ff(s.right, tcont, fcont))
-
-
-def _star_to_tt(s: _Star, tcont: Formula, fcont: Formula) -> Formula:
-    # T-term with tree se(s)[T -> se(tcont), F -> se(fcont)]; tcont, fcont T-terms.
-    if isinstance(s, _StarLit):
-        taken = _conj_tt(s.tt, tcont)
-        skipped = _disj_ff_tt(s.ff, fcont)
-        if s.positive:
-            return Dis(Con(Lit(s.atom), taken), skipped)
-        return Dis(Con(Lit(s.atom), skipped), taken)
-    if isinstance(s, _StarCon):
-        return _star_to_tt(s.left, _star_to_tt(s.right, tcont, fcont), fcont)
-    return _star_to_tt(s.left, tcont, _star_to_tt(s.right, tcont, fcont))
-
-
 def _tt_append(s: _Star, v: Formula) -> _Star:
     # *-term with tree se(s)[T -> se(v), F -> F], for a T-term v.
     if isinstance(s, _StarLit):
-        return _StarLit(s.positive, s.atom, _conj_tt(s.tt, v), s.ff)
+        return _StarLit(s.positive, s.atom, _tt(s.tt, v, None), s.ff)
     if isinstance(s, _StarCon):
         return _StarCon(s.left, _tt_append(s.right, v))
     # (p || q) && v has the tree of (p && v) || (q && v) because se(v) is
@@ -237,7 +182,7 @@ def _tt_append(s: _Star, v: Formula) -> _Star:
 def _ff_graft(s: _Star, w: Formula) -> _Star:
     # *-term with tree se(s)[F -> se(w)], for an F-term w.
     if isinstance(s, _StarLit):
-        return _StarLit(s.positive, s.atom, s.tt, _disj_ff(s.ff, w))
+        return _StarLit(s.positive, s.atom, s.tt, _ff(s.ff, None, w))
     if isinstance(s, _StarCon):
         # (p && q) || w has the tree of (p || w) && (q || w); se(w) is closed
         # by F, so the inner F -> F substitution leaves it untouched.
@@ -263,7 +208,7 @@ def _or_star(s: _Star, t: _Star) -> _Star:
 
 def _neg_star(s: _Star) -> _Star:
     if isinstance(s, _StarLit):
-        return _StarLit(not s.positive, s.atom, _dual_ff(s.ff), _dual_tt(s.tt))
+        return _StarLit(not s.positive, s.atom, _tt(s.ff, None, TRUE), _ff(s.tt, FALSE, None))
     if isinstance(s, _StarCon):
         return _StarDis(_neg_star(s.left), _neg_star(s.right))
     return _StarCon(_neg_star(s.left), _neg_star(s.right))
@@ -301,17 +246,17 @@ def _nf_and(m: _Nf, n: _Nf) -> _Nf:
         return m
     if isinstance(m, _TT):
         if isinstance(n, _TT):
-            return _TT(_conj_tt(m.term, n.term))
+            return _TT(_tt(m.term, n.term, None))
         if isinstance(n, _FF):
-            return _FF(_push_ff(m.term, n.term))
+            return _FF(_ff(m.term, n.term, None))
         if isinstance(n, _ST):
             return _TStar(m.term, n.star)
-        return _TStar(_conj_tt(m.term, n.tt), n.star)
+        return _TStar(_tt(m.term, n.tt, None), n.star)
     if isinstance(m, _ST):
         if isinstance(n, _TT):
             return _ST(_tt_append(m.star, n.term))
         if isinstance(n, _FF):
-            return _FF(_star_to_ff(m.star, n.term, FALSE))
+            return _FF(_ff(_star_formula(m.star), n.term, FALSE))
         if isinstance(n, _ST):
             return _ST(_and_star(m.star, n.star))
         return _ST(_and_star(_tt_append(m.star, n.tt), n.star))
@@ -320,7 +265,7 @@ def _nf_and(m: _Nf, n: _Nf) -> _Nf:
     if isinstance(inner, _ST):
         return _TStar(m.tt, inner.star)
     assert isinstance(inner, _FF)
-    return _FF(_push_ff(m.tt, inner.term))
+    return _FF(_ff(m.tt, inner.term, None))
 
 
 def _nf_or(m: _Nf, n: _Nf) -> _Nf:
@@ -329,36 +274,36 @@ def _nf_or(m: _Nf, n: _Nf) -> _Nf:
         return m
     if isinstance(m, _FF):
         if isinstance(n, _TT):
-            return _TT(_disj_ff_tt(m.term, n.term))
+            return _TT(_tt(m.term, None, n.term))
         if isinstance(n, _FF):
-            return _FF(_disj_ff(m.term, n.term))
+            return _FF(_ff(m.term, None, n.term))
         if isinstance(n, _ST):
             # se(m)[F -> se(s)] is the T*-tree of dual(m) && s.
-            return _TStar(_dual_ff(m.term), n.star)
-        return _TStar(_disj_ff_tt(m.term, n.tt), n.star)
+            return _TStar(_tt(m.term, None, TRUE), n.star)
+        return _TStar(_tt(m.term, None, n.tt), n.star)
     if isinstance(m, _ST):
         if isinstance(n, _TT):
-            return _TT(_star_to_tt(m.star, TRUE, n.term))
+            return _TT(_tt(_star_formula(m.star), TRUE, n.term))
         if isinstance(n, _FF):
             return _ST(_ff_graft(m.star, n.term))
         if isinstance(n, _ST):
             return _ST(_or_star(m.star, n.star))
         # s || (v && s2): graft v's skeleton into the F slots of s, then let
         # s2 continue at every F leaf of the combined tree.
-        return _ST(_or_star(_ff_graft(m.star, _dual_tt(n.tt)), n.star))
+        return _ST(_or_star(_ff_graft(m.star, _ff(n.tt, FALSE, None)), n.star))
     # (u && s) || y = u && (s || y) on trees: all leaves sit inside se(s).
     inner = _nf_or(_ST(m.star), n)
     if isinstance(inner, _ST):
         return _TStar(m.tt, inner.star)
     assert isinstance(inner, _TT)
-    return _TT(_conj_tt(m.tt, inner.term))
+    return _TT(_tt(m.tt, inner.term, None))
 
 
 def _nf_neg(m: _Nf) -> _Nf:
     if isinstance(m, _TT):
-        return _FF(_dual_tt(m.term))
+        return _FF(_ff(m.term, FALSE, None))
     if isinstance(m, _FF):
-        return _TT(_dual_ff(m.term))
+        return _TT(_tt(m.term, None, TRUE))
     if isinstance(m, _ST):
         return _ST(_neg_star(m.star))
     return _TStar(m.tt, _neg_star(m.star))

@@ -28,10 +28,6 @@ class PathDiscipline(Enum):
     MEMORIZING = "memorizing"
 
 
-def concat(p: ValuationPath, q: ValuationPath) -> ValuationPath:
-    return p + q
-
-
 def result(p: ValuationPath, t: EvalTree) -> Optional[bool]:
     """The result of p on t, or None when undefined."""
     node = t
@@ -99,26 +95,6 @@ def enumerate_paths(t: EvalTree) -> Iterator[tuple[ValuationPath, bool]]:
         else:
             stack.append((node.right, prefix + ((node.atom, False),)))
             stack.append((node.left, prefix + ((node.atom, True),)))
-
-
-def split_at_leaf(p: ValuationPath, x: EvalTree) -> Optional[tuple[ValuationPath, ValuationPath, bool]]:
-    """Split p = r + q such that r traverses x exactly to a leaf.
-
-    Returns (r, q, leaf_value) or None when no prefix of p reaches a leaf of x.
-    This is the constructive decomposition for paths on substituted trees.
-    """
-    node = x
-    taken = 0
-    for atom, value in p:
-        if isinstance(node, Leaf):
-            break
-        if node.atom != atom:
-            return None
-        node = node.left if value else node.right
-        taken += 1
-    if isinstance(node, Leaf):
-        return p[:taken], p[taken:], node.value
-    return None
 
 
 def render_path(p: ValuationPath) -> str:

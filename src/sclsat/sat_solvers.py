@@ -14,8 +14,8 @@ Five testers are provided:
                        for RPSCL and CSCL
     sat_direct         linear bottom-up (satisfiable, falsifiable) pass;
                        decides FSCL exactly
-    sat_open           linear right-to-left guard propagation; decides RPSCL
-                       and CSCL exactly
+    sat_open           se computed over guards instead of trees, in one
+                       linear right-to-left pass; decides RPSCL and CSCL
     sat_boolean        classical reduction: memorizing paths are exactly the
                        traces under a boolean assignment, so DPLL decides MSCL
                        and SSCL
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
-from .eval_tree import Branch, EvalTree, Leaf, se
-from .formula_core import Con, Const, Dis, Formula, Lit, Neg, postorder
+from .eval_tree import EvalTree, Leaf, fold_se, se
+from .formula_core import Con, Const, Formula, Lit, Neg, postorder
 from .paths import (
     PathDiscipline,
     ValuationPath,
@@ -283,62 +283,23 @@ def _lit_slot(atom: str, value: bool, guard):
     return (entry, cont)
 
 
-def _make_guard(atom: str, slot_true, slot_false):
+def _guard(g_true, lit: Lit, g_false):
+    """The guard of a literal with continuations g_true and g_false."""
+    slot_true = _lit_slot(lit.atom, True, g_true)
+    slot_false = _lit_slot(lit.atom, False, g_false)
     if slot_true is None and slot_false is None:
         return None
-    return (atom, slot_true, slot_false)
+    return (lit.atom, slot_true, slot_false)
 
 
 def sat_open(logic: Logic, f: Formula) -> SatOutcome:
-    """Linear right-to-left guard propagation that searches for a
-    repetition-proof true trace.
-
-    Every node is processed once with a pair of guards (continuations viable
-    when the node yields true resp. false); literals splice themselves onto
-    the matching continuation, respecting adjacency with the next atom.
-    Decides RPSCL and CSCL; a found path also settles FSCL, and MSCL/SSCL when
-    it happens to be memorizing; absence of a repetition-proof path is No for
-    everything except FSCL."""
-    visits = 0
-    results: list[object] = []
-    # Work items: ("visit", node, guard_true, guard_false) computes the node's
-    # combined guard; "con2"/"dis2" resume the left operand once the right
-    # operand's guard is known.
-    work: list[tuple] = [("visit", f, _EMPTY, None)]
-    while work:
-        item = work.pop()
-        tag = item[0]
-        if tag == "visit":
-            _, node, g_true, g_false = item
-            visits += 1
-            if isinstance(node, Const):
-                results.append(g_true if node.value else g_false)
-            elif isinstance(node, Lit):
-                results.append(
-                    _make_guard(
-                        node.atom,
-                        _lit_slot(node.atom, True, g_true),
-                        _lit_slot(node.atom, False, g_false),
-                    )
-                )
-            elif isinstance(node, Neg):
-                work.append(("visit", node.inner, g_false, g_true))
-            elif isinstance(node, Con):
-                work.append(("con2", node.left, g_false))
-                work.append(("visit", node.right, g_true, g_false))
-            elif isinstance(node, Dis):
-                work.append(("dis2", node.left, g_true))
-                work.append(("visit", node.right, g_true, g_false))
-            else:
-                raise TypeError(f"not a formula: {node!r}")
-        elif tag == "con2":
-            _, left, g_false = item
-            work.append(("visit", left, results.pop(), g_false))
-        else:
-            _, left, g_true = item
-            work.append(("visit", left, g_true, results.pop()))
-    final = results.pop()
-
+    """se computed over guards: each node gets the guards viable when it
+    yields true resp. false, and each literal splices itself onto the matching
+    one, respecting adjacency with the next atom.  The formula's guard holds a
+    repetition-proof true trace when one exists, so this decides RPSCL and
+    CSCL; a found path also settles FSCL, and MSCL/SSCL when it is memorizing;
+    no repetition-proof path is No for everything except FSCL."""
+    final, visits = fold_se(f, _EMPTY, None, _guard)
     if final is None:
         if logic is Logic.FSCL:
             return SatOutcome("unknown", None, logic, "open", visits, 0)

@@ -416,6 +416,17 @@ def _random_rp_path(rng: random.Random, alphabet: Sequence[str], length: int) ->
     return tuple(entries)
 
 
+def _random_effect_free(rng: random.Random, max_states: int, alphabet: Sequence[str]) -> FiniteAlgebra:
+    """Random yields with identity derivatives: an algebra whose state never
+    moves, so it is static."""
+    num_states = rng.randrange(1, max_states + 1)
+    eval_table = {
+        a: tuple(rng.random() < 0.5 for _ in range(num_states)) for a in alphabet
+    }
+    deriv_table = {a: tuple(range(1, num_states + 1)) for a in alphabet}
+    return FiniteAlgebra(num_states, tuple(alphabet), eval_table, deriv_table)
+
+
 def random_algebra(
     class_target: AlgebraClass,
     max_states: int = 5,
@@ -436,32 +447,21 @@ def random_algebra(
         return _random_tables(rng, rng.randrange(1, max_states + 1), alphabet)
 
     if class_target.static:
-        # Effect-free family: random yields with identity derivatives.  The
-        # class conditions alone admit algebras that still move state (e.g.
-        # a.1 = 2 with equal yields everywhere); those satisfy the static
-        # flags but observably distinguish x && F from F by their derivative,
-        # so the sampling family for static requests keeps derivatives
-        # trivial.
-        num_states = rng.randrange(1, max_states + 1)
-        eval_table = {
-            a: tuple(rng.random() < 0.5 for _ in range(num_states)) for a in alphabet
-        }
-        deriv_table = {a: tuple(range(1, num_states + 1)) for a in alphabet}
-        return FiniteAlgebra(num_states, tuple(alphabet), eval_table, deriv_table)
+        # The class conditions alone admit algebras that still move state
+        # (e.g. a.1 = 2 with equal yields everywhere); those satisfy the
+        # static flags but observably distinguish x && F from F by their
+        # derivative, so the sampling family for static requests keeps
+        # derivatives trivial.
+        return _random_effect_free(rng, max_states, alphabet)
 
     for _ in range(_REJECTION_ATTEMPTS):
         candidate = _random_tables(rng, rng.randrange(1, max_states + 1), alphabet)
         if class_check(candidate).includes(class_target):
             return candidate
 
-    if class_target.memorizing or class_target.static:
+    if class_target.memorizing:
         # Identity-derivative algebras are static, hence also memorizing.
-        num_states = rng.randrange(1, max_states + 1)
-        eval_table = {
-            a: tuple(rng.random() < 0.5 for _ in range(num_states)) for a in alphabet
-        }
-        deriv_table = {a: tuple(range(1, num_states + 1)) for a in alphabet}
-        return FiniteAlgebra(num_states, tuple(alphabet), eval_table, deriv_table)
+        return _random_effect_free(rng, max_states, alphabet)
     if class_target.repetition_proof or class_target.contractive:
         p = _random_path(rng, alphabet, rng.randrange(0, max_states))
         if class_target.contractive:

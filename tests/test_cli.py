@@ -146,6 +146,34 @@ class TestNormalize:
         assert lines[1].startswith("class:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sat", "a &&"],
+        ["tree", "(a"],
+        ["verify", "a @ b", "[(a,T)]"],
+        ["verify", "a", "[(a,T)"],
+        ["normalize", "!"],
+    ],
+    ids=["sat", "tree", "verify", "verify_path", "normalize"],
+)
+def test_parse_errors_exit_65(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARSE == 65
+    assert out == ""
+    assert err.startswith("parse error: ")
+
+
+def test_formula_checked_before_path_and_logic(capsys):
+    code, _, err = run(capsys, "verify", "--logic", "XXX", "a &&", "nonsense")
+    assert code == EXIT_PARSE
+    assert "parse error" in err
+    code, _, err = run(capsys, "verify", "--logic", "XXX", "a", "nonsense")
+    assert code == EXIT_PARSE
+    code, _, err = run(capsys, "verify", "--logic", "XXX", "a", "[(a,T)]")
+    assert code == EXIT_USAGE
+
+
 class TestAxioms:
     def test_list(self, capsys):
         code, out, _ = run(capsys, "axioms", "--system", "EqFSCL")

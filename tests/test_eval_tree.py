@@ -11,6 +11,7 @@ from sclsat.eval_tree import (
     TreeParseError,
     depth,
     export_dot,
+    fold_se,
     is_open,
     leaf_profile,
     parse_tree,
@@ -192,6 +193,32 @@ class TestSe:
             t = se(parse(_or_chain(n)))
             assert leaf_profile(t) == LeafProfile(True, True, 2 ** (n + 1) - 1)
             assert depth(t) == 2 * n
+
+
+class TestFoldSe:
+    def test_rejects_non_formula(self):
+        with pytest.raises(TypeError, match="not a formula"):
+            fold_se("a", TRUE_LEAF, FALSE_LEAF, lambda t, lit, e: t)
+        with pytest.raises(TypeError, match="not a formula"):
+            fold_se(Con(Lit("a"), 3), TRUE_LEAF, FALSE_LEAF, lambda t, lit, e: t)
+
+    def test_none_is_a_value(self):
+        # None continuations pass through like any other value.
+        seen = []
+
+        def branch(t, lit, e):
+            seen.append((t, lit.atom, e))
+            return lit.atom
+
+        value, visits = fold_se(parse("!(a || b)"), None, "e", branch)
+        assert value == "a"
+        assert seen == [("e", "b", None), ("e", "a", "b")]
+        assert visits == 4
+
+    def test_visits_count_occurrences(self):
+        shared = parse("a && !b")
+        f = Dis(Con(shared, Neg(shared)), shared)
+        assert fold_se(f, TRUE_LEAF, FALSE_LEAF, lambda t, lit, e: Branch(t, lit.atom, e))[1] == node_count(f) == 15
 
 
 class TestSubstitute:

@@ -6,9 +6,14 @@ from hypothesis import given, settings
 
 from sclsat.eval_tree import leaf_profile, se
 from sclsat import sat_solvers
-from sclsat.formula_core import Con, Const, Lit, Neg, node_count, parse
+from sclsat.formula_core import Con, Const, Dis, Lit, Neg, node_count, parse
+from sclsat.paths import is_memorizing
 from sclsat.sat_solvers import (
+    _EMPTY,
     Logic,
+    SatOutcome,
+    _cons_to_path,
+    _lit_slot,
     _sat_fal_flags,
     _tseitin,
     check_path,
@@ -257,6 +262,67 @@ def tseitin_reference(f):
     return clauses, atom_var, next_var
 
 
+
+def _make_guard_reference(atom, slot_true, slot_false):
+    if slot_true is None and slot_false is None:
+        return None
+    return (atom, slot_true, slot_false)
+
+
+def sat_open_reference(logic, f):
+    """The guard solver as a tagged work-item machine, before it became an
+    instance of fold_se."""
+    visits = 0
+    results = []
+    work = [("visit", f, _EMPTY, None)]
+    while work:
+        item = work.pop()
+        tag = item[0]
+        if tag == "visit":
+            _, node, g_true, g_false = item
+            visits += 1
+            if isinstance(node, Const):
+                results.append(g_true if node.value else g_false)
+            elif isinstance(node, Lit):
+                results.append(
+                    _make_guard_reference(
+                        node.atom,
+                        _lit_slot(node.atom, True, g_true),
+                        _lit_slot(node.atom, False, g_false),
+                    )
+                )
+            elif isinstance(node, Neg):
+                work.append(("visit", node.inner, g_false, g_true))
+            elif isinstance(node, Con):
+                work.append(("con2", node.left, g_false))
+                work.append(("visit", node.right, g_true, g_false))
+            elif isinstance(node, Dis):
+                work.append(("dis2", node.left, g_true))
+                work.append(("visit", node.right, g_true, g_false))
+            else:
+                raise TypeError(f"not a formula: {node!r}")
+        elif tag == "con2":
+            _, left, g_false = item
+            work.append(("visit", left, results.pop(), g_false))
+        else:
+            _, left, g_true = item
+            work.append(("visit", left, g_true, results.pop()))
+    final = results.pop()
+
+    if final is None:
+        if logic is Logic.FSCL:
+            return SatOutcome("unknown", None, logic, "open", visits, 0)
+        return SatOutcome("no", None, logic, "open", visits, 0)
+    if final is _EMPTY:
+        path = ()
+    else:
+        _, slot_true, slot_false = final
+        path = _cons_to_path(slot_true if slot_true is not None else slot_false)
+    if logic in (Logic.MSCL, Logic.SSCL) and not is_memorizing(path):
+        return SatOutcome("unknown", None, logic, "open", visits, 0)
+    return SatOutcome("yes", path, logic, "open", visits, 0)
+
+
 SUITE = list(enumerate_formulas(["a", "b"], 7))
 
 # SHA-256 over repr((answer, witness, logic, solver, node_visits,
@@ -282,6 +348,17 @@ class TestUnchangedOnSuite:
             expected_flags, expected_visits = flags_reference(f)
             assert list(flags.items()) == list(expected_flags.items())
             assert len(flags) == expected_visits
+
+    def test_open_matches_reference(self):
+        for f in SUITE:
+            for logic in ALL_LOGICS:
+                assert sat_open(logic, f) == sat_open_reference(logic, f)
+
+    @settings(max_examples=300, deadline=None)
+    @given(formulas(atoms=("a", "b", "c", "d"), max_leaves=20).filter(lambda f: node_count(f) <= 40))
+    def test_open_matches_reference_on_random(self, f):
+        for logic in ALL_LOGICS:
+            assert sat_open(logic, f) == sat_open_reference(logic, f)
 
     @pytest.mark.parametrize("strategy", list(OUTCOME_DIGESTS))
     def test_every_outcome_field(self, strategy):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sclsat.eval_tree import se
 from sclsat.formula_core import parse
 from sclsat.paths import contract, is_memorizing, is_repetition_proof, result
+from sclsat import valuation_algebras
 from sclsat.valuation_algebras import (
     CONTRACTIVE,
     FREE,
@@ -292,6 +294,23 @@ class TestLiftedLaws:
             assert eval_formula(v, x, deriv_formula(v, y, h)) == eval_formula(v, x, h)
 
 
+# SHA-256 over to_json() of random_algebra(class, max_states, seed) for seeds
+# 0-199 and max_states 1-5, one line each, recorded before the effect-free
+# family was shared: (sampled as is, with rejection sampling switched off).
+RANDOM_ALGEBRA_DIGESTS = {
+    "FREE": ("9a554b2c8bed8e82e2a0eb211d53c6a763b9b0ddf53d827736c847b172bc99b6",
+             "9a554b2c8bed8e82e2a0eb211d53c6a763b9b0ddf53d827736c847b172bc99b6"),
+    "REPETITION_PROOF": ("7ac0a0e5b7bcde30b86d0e33a97f2c3235e11e2db997f336c692bd43aee7ed7d",
+                         "6e24dacabf2cebba2c1c7ed0b9ea7d472ac627b35cd3ddbf2fb0a0511ad402c7"),
+    "CONTRACTIVE": ("af9f91832404acb0fe028f1a8c9f8bca3bca745ee5f94ede93168aa3fca294a1",
+                    "3d754c5ac5d2e6af136340fb159a64929321e5acdc3f8ec503f7a8579f72d707"),
+    "MEMORIZING": ("5194aec63d686af55f98fa0b09177bc6444cf18174891a328c8037ff9a43f818",
+                   "7490b63fdb7955a91b45f0ba4985ab9006ff5cd826b091802a53c90688cd0ee8"),
+    "STATIC": ("7490b63fdb7955a91b45f0ba4985ab9006ff5cd826b091802a53c90688cd0ee8",
+               "7490b63fdb7955a91b45f0ba4985ab9006ff5cd826b091802a53c90688cd0ee8"),
+}
+
+
 class TestRandomGeneration:
     def test_deterministic(self):
         a = random_algebra(CONTRACTIVE, seed=7)
@@ -308,6 +327,21 @@ class TestRandomGeneration:
     def test_rejects_bad_states(self):
         with pytest.raises(ValueError):
             random_algebra(FREE, max_states=0)
+
+    @pytest.mark.parametrize("attempts", [None, 0], ids=["sampled", "constructed"])
+    @pytest.mark.parametrize("name", list(RANDOM_ALGEBRA_DIGESTS))
+    def test_unchanged_tables(self, monkeypatch, name, attempts):
+        # With no rejection attempts every request takes its constructive
+        # family, which the sampled run never reaches at these sizes.
+        if attempts is not None:
+            monkeypatch.setattr(valuation_algebras, "_REJECTION_ATTEMPTS", attempts)
+        target = getattr(valuation_algebras, name)
+        digest = hashlib.sha256()
+        for seed in range(200):
+            for max_states in range(1, 6):
+                digest.update(random_algebra(target, max_states=max_states, seed=seed).to_json().encode())
+                digest.update(b"\n")
+        assert digest.hexdigest() == RANDOM_ALGEBRA_DIGESTS[name][attempts is not None]
 
 
 class TestSerialization:
