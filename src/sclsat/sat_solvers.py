@@ -17,8 +17,9 @@ Five testers are provided:
     sat_open           se computed over guards instead of trees, in one
                        linear right-to-left pass; decides RPSCL and CSCL
     sat_boolean        classical reduction: memorizing paths are exactly the
-                       traces under a boolean assignment, so DPLL decides MSCL
-                       and SSCL
+                       traces under a boolean assignment, so static-order
+                       CDCL, which returns the lex-greatest model, decides
+                       MSCL and SSCL
 
 ``solve`` dispatches by strategy, routes "auto" to the decision procedure for
 the requested logic, and verifies every witness before returning it.
@@ -320,7 +321,9 @@ def _tseitin(f: Formula) -> tuple[list[list[int]], dict[str, int], int]:
     """CNF whose models are the boolean assignments making f classically true.
     Returns (clauses, atom variable map, variable count).  Variables are
     numbered in post-order, one per constant and connective and one per atom
-    at its first occurrence; a negation reuses its operand's variable."""
+    at its first occurrence; a negation reuses its operand's variable.  The
+    clauses go to static-order CDCL, which returns the lex-greatest model, so
+    this numbering fixes which model, and hence which witness, is found."""
     atom_var: dict[str, int] = {}
     clauses: list[list[int]] = []
     next_var = 0
@@ -355,115 +358,206 @@ def _tseitin(f: Formula) -> tuple[list[list[int]], dict[str, int], int]:
     return clauses, atom_var, next_var
 
 
-def _dpll(clauses: list[list[int]], num_vars: int) -> Optional[dict[int, bool]]:
-    """Plain DPLL: unit propagation and first-unassigned-variable branching
-    (true first), iterative with an explicit trail."""
-    assignment: dict[int, bool] = {}
+def _cdcl(clauses: list[list[int]], num_vars: int) -> Optional[dict[int, bool]]:
+    """Static-order CDCL, which returns the lex-greatest model: the model that
+    is greatest when variables are compared from the lowest number up, with
+    true above false; None when the clauses are unsatisfiable.
+
+    Clauses are non-empty lists of non-zero integers, -v standing for the
+    negation of variable v in 1..num_vars; repeated literals and tautologies
+    are allowed, and the list is not modified.  Each decision sets the
+    lowest-numbered unassigned variable true.  Unit propagation uses two
+    watched literals per clause (Chaff); a conflict is analysed to its first
+    unique implication point and the learned clause backjumps
+    non-chronologically (GRASP).  Learned clauses are kept for the whole
+    call; there is no activity heuristic, phase saving or restart.
+
+    Why the model is the lex-greatest one, M*: learned clauses are implied
+    by the input, so M* satisfies them too, and propagation from a trail
+    that agrees with M* stays in agreement with it.  Take the first decision
+    v := true where M*(v) is false.  Every variable below v is then assigned
+    as in M*, so a model extending that trail would be lex-greater than M*;
+    none does, and the search must backjump below v, where the trail agrees
+    with M* again and the asserted literal is implied.  Only a full
+    assignment that agrees with M* can be returned."""
+    # Every array is indexed by literal: a negative literal indexes from the
+    # end, so both polarities index directly.  value[lit] is True, False or
+    # None; level, reason and seen are read at the literal on the trail,
+    # reason only where propagation set it.
+    size = 2 * num_vars + 1
+    value: list[Optional[bool]] = [None] * size
+    level = [0] * size
+    reason: list[Optional[list[int]]] = [None] * size
+    seen = [False] * size
+    # watches[lit] holds the clauses watching lit, visited when lit turns
+    # false; a watched clause keeps its two watched literals in front.
+    watches: list[list[list[int]]] = [[] for _ in range(size)]
     trail: list[int] = []
-    # Clause indices containing each literal, so propagation only revisits
-    # clauses a new assignment could have falsified.
-    occurrences: dict[int, list[int]] = {}
-    for index, clause in enumerate(clauses):
-        for lit in clause:
-            occurrences.setdefault(lit, []).append(index)
-
-    def assign(var: int, value: bool) -> None:
-        assignment[var] = value
-        trail.append(var)
-
-    def undo_to(mark: int) -> None:
-        while len(trail) > mark:
-            del assignment[trail.pop()]
-
-    def propagate(start: int) -> bool:
-        queue = trail[start:]
-        head = 0
-        while head < len(queue):
-            var = queue[head]
-            head += 1
-            falsified = -var if assignment[var] else var
-            for index in occurrences.get(falsified, ()):
-                unassigned = None
-                satisfied = False
-                count = 0
-                for lit in clauses[index]:
-                    value = assignment.get(abs(lit))
-                    if value is None:
-                        unassigned = lit
-                        count += 1
-                    elif value == (lit > 0):
-                        satisfied = True
-                        break
-                if satisfied:
-                    continue
-                if count == 0:
-                    return False
-                if count == 1:
-                    assign(abs(unassigned), unassigned > 0)
-                    queue.append(abs(unassigned))
-        return True
-
-    # Seed propagation with the unit clauses.
     for clause in clauses:
+        # A clause never watches one literal twice: a repeat in front is
+        # dropped here, and the search for a new watch skips the other one.
+        # A tautology, holding x and -x, never becomes unit or conflicting.
+        if len(clause) > 1 and clause[0] == clause[1]:
+            clause = list(dict.fromkeys(clause))
         if len(clause) == 1:
             lit = clause[0]
-            value = assignment.get(abs(lit))
-            if value is None:
-                assign(abs(lit), lit > 0)
-            elif value != (lit > 0):
+            if value[lit] is None:
+                value[lit] = True
+                value[-lit] = False
+                trail.append(lit)
+            elif not value[lit]:
                 return None
-    if not propagate(0):
-        return None
-
-    next_unassigned = 1
-    decisions: list[tuple[int, int, bool]] = []  # (var, trail mark, false tried)
+        else:
+            lits = list(clause)
+            watches[lits[0]].append(lits)
+            watches[lits[1]].append(lits)
+    limits: list[int] = []  # trail length at each decision
+    head = 0
+    next_var = 1
     while True:
-        while next_unassigned <= num_vars and next_unassigned in assignment:
-            next_unassigned += 1
-        if next_unassigned > num_vars:
-            return assignment
-        var = next_unassigned
-        mark = len(trail)
-        decisions.append((var, mark, False))
-        assign(var, True)
-        while not propagate(len(trail) - 1):
-            while decisions:
-                var, mark, false_tried = decisions.pop()
-                undo_to(mark)
-                if not false_tried:
-                    decisions.append((var, mark, True))
-                    assign(var, False)
-                    break
-            else:
+        conflict: Optional[list[int]] = None
+        current = len(limits)
+        while head < len(trail):
+            false_lit = -trail[head]
+            head += 1
+            # Compact the watch list in place: kept clauses move down to j.
+            watching = watches[false_lit]
+            j = 0
+            for i, c in enumerate(watching):
+                other = c[0]
+                if other == false_lit:
+                    other = c[1]
+                    c[0] = other
+                    c[1] = false_lit
+                if value[other]:
+                    watching[j] = c
+                    j += 1
+                    continue
+                for k in range(2, len(c)):
+                    lit = c[k]
+                    if value[lit] is not False and lit != other:
+                        c[1] = lit
+                        c[k] = false_lit
+                        watches[lit].append(c)
+                        break
+                else:
+                    watching[j] = c
+                    j += 1
+                    if value[other] is None:
+                        # Unit: the implied literal stays in front as c[0].
+                        value[other] = True
+                        value[-other] = False
+                        level[other] = current
+                        reason[other] = c
+                        trail.append(other)
+                    else:
+                        conflict = c
+                        # Keep the clauses not yet visited.
+                        del watching[j:i + 1]
+                        break
+            if conflict is not None:
+                break
+            del watching[j:]
+        if conflict is not None:
+            if not current:
                 return None
-            next_unassigned = 1
+            # 1UIP: resolve backwards along the trail until one literal of the
+            # conflict level is left; it is negated into learned[0].
+            learned = [0]
+            pending = 0
+            c = conflict
+            start = 0
+            index = len(trail) - 1
+            while True:
+                for k in range(start, len(c)):
+                    lit = -c[k]
+                    if not seen[lit] and level[lit]:
+                        seen[lit] = True
+                        if level[lit] == current:
+                            pending += 1
+                        else:
+                            learned.append(-lit)
+                while not seen[trail[index]]:
+                    index -= 1
+                uip = trail[index]
+                index -= 1
+                seen[uip] = False
+                pending -= 1
+                if not pending:
+                    break
+                c = reason[uip]  # type: ignore[assignment]
+                start = 1
+            learned[0] = -uip
+            back = 0
+            if len(learned) > 1:
+                # Watch the deepest remaining literal, the last to be undone.
+                best = 1
+                for k in range(1, len(learned)):
+                    seen[-learned[k]] = False
+                    if level[-learned[k]] > level[-learned[best]]:
+                        best = k
+                learned[1], learned[best] = learned[best], learned[1]
+                back = level[-learned[1]]
+                watches[learned[0]].append(learned)
+                watches[learned[1]].append(learned)
+            # Every variable below the decision that opened level back + 1
+            # was assigned before it, so that decision is the lowest variable
+            # the backjump unassigns.
+            mark = limits[back]
+            next_var = trail[mark]
+            for lit in trail[mark:]:
+                value[lit] = value[-lit] = None
+            del trail[mark:]
+            del limits[back:]
+            head = mark
+            lit = learned[0]
+            value[lit] = True
+            value[-lit] = False
+            level[lit] = back
+            reason[lit] = learned
+            trail.append(lit)
+            continue
+        while next_var <= num_vars and value[next_var] is not None:
+            next_var += 1
+        if next_var > num_vars:
+            return {var: bool(value[var]) for var in range(1, num_vars + 1)}
+        limits.append(len(trail))
+        value[next_var] = True
+        value[-next_var] = False
+        level[next_var] = len(limits)
+        trail.append(next_var)
+
+
+class _StaticAlgebra:
+    """The static valuation algebra of sigma: every atom constantly yields
+    sigma[atom] (false if absent) and no state changes."""
+
+    __slots__ = ("sigma",)
+
+    def __init__(self, sigma: dict[str, bool]):
+        self.sigma = sigma
+
+    def atom_eval(self, atom: str, state: int) -> bool:
+        return self.sigma.get(atom, False)
+
+    def atom_deriv(self, atom: str, state: int) -> int:
+        return state
 
 
 def _assignment_path(f: Formula, sigma: dict[str, bool]) -> ValuationPath:
     """The trace of evaluating f when every atom constantly yields sigma[atom]
     (false if absent); memorizing by construction."""
-
-    class _Static:
-        __slots__ = ()
-
-        @staticmethod
-        def atom_eval(atom: str, state: int) -> bool:
-            return sigma.get(atom, False)
-
-        @staticmethod
-        def atom_deriv(atom: str, state: int) -> int:
-            return state
-
-    return _evaluate(_Static(), f, 0, True)[2]
+    return _evaluate(_StaticAlgebra(sigma), f, 0, True)[2]
 
 
 def sat_boolean(logic: Logic, f: Formula) -> SatOutcome:
     """Reduce to classical satisfiability: a memorizing true trace exists
-    exactly when some boolean assignment makes f classically true.  Decides
-    MSCL and SSCL; a model also yields a witness for the looser logics, while
-    boolean-unsatisfiable leaves them Unknown."""
+    exactly when some boolean assignment makes f classically true, and
+    static-order CDCL, which returns the lex-greatest model, finds one.
+    Decides MSCL and SSCL; a model also yields a witness for the looser
+    logics, while boolean-unsatisfiable leaves them Unknown."""
     clauses, atom_var, num_vars = _tseitin(f)
-    model = _dpll(clauses, num_vars)
+    model = _cdcl(clauses, num_vars)
     visits = len(clauses)
     if model is None:
         if logic in (Logic.MSCL, Logic.SSCL):

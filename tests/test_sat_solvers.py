@@ -1,5 +1,9 @@
+import copy
 import hashlib
+import itertools
 import json
+import random
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,7 @@ from sclsat.sat_solvers import (
     _EMPTY,
     Logic,
     SatOutcome,
+    _cdcl,
     _cons_to_path,
     _lit_slot,
     _sat_fal_flags,
@@ -377,3 +382,234 @@ def test_auto_unknown_raises(monkeypatch):
     monkeypatch.setattr(sat_solvers, "_auto_solver", lambda logic: sat_direct)
     with pytest.raises(RuntimeError, match="unknown"):
         solve(Logic.MSCL, parse("a && !a"))
+
+
+# --- oracle: the plain DPLL search that static-order CDCL replaced ---
+
+def _dpll(clauses: list[list[int]], num_vars: int) -> Optional[dict[int, bool]]:
+    """Plain DPLL: unit propagation and first-unassigned-variable branching
+    (true first), iterative with an explicit trail."""
+    assignment: dict[int, bool] = {}
+    trail: list[int] = []
+    # Clause indices containing each literal, so propagation only revisits
+    # clauses a new assignment could have falsified.
+    occurrences: dict[int, list[int]] = {}
+    for index, clause in enumerate(clauses):
+        for lit in clause:
+            occurrences.setdefault(lit, []).append(index)
+
+    def assign(var: int, value: bool) -> None:
+        assignment[var] = value
+        trail.append(var)
+
+    def undo_to(mark: int) -> None:
+        while len(trail) > mark:
+            del assignment[trail.pop()]
+
+    def propagate(start: int) -> bool:
+        queue = trail[start:]
+        head = 0
+        while head < len(queue):
+            var = queue[head]
+            head += 1
+            falsified = -var if assignment[var] else var
+            for index in occurrences.get(falsified, ()):
+                unassigned = None
+                satisfied = False
+                count = 0
+                for lit in clauses[index]:
+                    value = assignment.get(abs(lit))
+                    if value is None:
+                        unassigned = lit
+                        count += 1
+                    elif value == (lit > 0):
+                        satisfied = True
+                        break
+                if satisfied:
+                    continue
+                if count == 0:
+                    return False
+                if count == 1:
+                    assign(abs(unassigned), unassigned > 0)
+                    queue.append(abs(unassigned))
+        return True
+
+    # Seed propagation with the unit clauses.
+    for clause in clauses:
+        if len(clause) == 1:
+            lit = clause[0]
+            value = assignment.get(abs(lit))
+            if value is None:
+                assign(abs(lit), lit > 0)
+            elif value != (lit > 0):
+                return None
+    if not propagate(0):
+        return None
+
+    next_unassigned = 1
+    decisions: list[tuple[int, int, bool]] = []  # (var, trail mark, false tried)
+    while True:
+        while next_unassigned <= num_vars and next_unassigned in assignment:
+            next_unassigned += 1
+        if next_unassigned > num_vars:
+            return assignment
+        var = next_unassigned
+        mark = len(trail)
+        decisions.append((var, mark, False))
+        assign(var, True)
+        while not propagate(len(trail) - 1):
+            while decisions:
+                var, mark, false_tried = decisions.pop()
+                undo_to(mark)
+                if not false_tried:
+                    decisions.append((var, mark, True))
+                    assign(var, False)
+                    break
+            else:
+                return None
+            next_unassigned = 1
+
+
+def lex_greatest_model(clauses, num_vars):
+    """The first model in the order _dpll searches: variable 1 counts most,
+    true before false."""
+    for values in itertools.product((True, False), repeat=num_vars):
+        model = dict(zip(range(1, num_vars + 1), values))
+        if all(any(model[abs(lit)] == (lit > 0) for lit in clause) for clause in clauses):
+            return model
+    return None
+
+
+def random_3cnf(rng, num_vars, ratio=4.26):
+    """Clauses of three distinct variables with random signs."""
+    return [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3)]
+            for _ in range(round(ratio * num_vars))]
+
+
+def pigeonhole(holes):
+    """holes + 1 pigeons in holes holes: unsatisfiable by counting."""
+    pigeons = holes + 1
+    var = {(i, j): i * holes + j + 1 for i in range(pigeons) for j in range(holes)}
+    clauses = [[var[i, j] for j in range(holes)] for i in range(pigeons)]
+    for j in range(holes):
+        for i in range(pigeons):
+            for k in range(i + 1, pigeons):
+                clauses.append([-var[i, j], -var[k, j]])
+    return clauses, pigeons * holes
+
+
+def cnf_formula(clauses):
+    """(l || l || l) && (...) && ..., left-nested like the parser reads it."""
+    def lit(x):
+        return Lit(f"x{x}") if x > 0 else Neg(Lit(f"x{-x}"))
+    f = None
+    for clause in clauses:
+        c = lit(clause[0])
+        for x in clause[1:]:
+            c = Dis(c, lit(x))
+        f = c if f is None else Con(f, c)
+    return f
+
+
+def assert_same_model(clauses, num_vars):
+    before = copy.deepcopy(clauses)
+    model = _cdcl(clauses, num_vars)
+    assert clauses == before
+    assert model == _dpll(clauses, num_vars)
+    return model
+
+
+class TestCdclMatchesDpll:
+    def test_suite(self):
+        for f in SUITE:
+            clauses, _, num_vars = _tseitin(f)
+            assert_same_model(clauses, num_vars)
+
+    @settings(max_examples=300, deadline=None)
+    @given(formulas(atoms=tuple(f"x{i}" for i in range(20)), max_leaves=100)
+           .filter(lambda f: 5 <= node_count(f) <= 200))
+    def test_random_formulas(self, f):
+        clauses, _, num_vars = _tseitin(f)
+        assert_same_model(clauses, num_vars)
+
+    def test_random_3cnf(self):
+        rng = random.Random(4026)
+        answers = set()
+        for num_vars in range(40, 61, 2):
+            clauses = random_3cnf(rng, num_vars)
+            answers.add(assert_same_model(clauses, num_vars) is not None)
+            encoded, atom_var, encoded_vars = _tseitin(cnf_formula(clauses))
+            assert len(atom_var) == num_vars
+            assert_same_model(encoded, encoded_vars)
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize("holes", [4, 5])
+    def test_pigeonhole(self, holes):
+        clauses, num_vars = pigeonhole(holes)
+        assert assert_same_model(clauses, num_vars) is None
+        encoded, _, encoded_vars = _tseitin(cnf_formula(clauses))
+        assert assert_same_model(encoded, encoded_vars) is None
+
+    def test_awkward_clauses(self):
+        # Repeated literals, in front or behind, and tautologies, against
+        # exhaustive search for the lex-greatest model.
+        rng = random.Random(7)
+        for _ in range(4000):
+            num_vars = rng.randint(1, 6)
+            literals = [v for v in range(1, num_vars + 1)] + [-v for v in range(1, num_vars + 1)]
+            clauses = []
+            for _ in range(rng.randint(1, 12)):
+                clause = [rng.choice(literals) for _ in range(rng.randint(1, 4))]
+                if rng.random() < 0.3:
+                    clause.insert(rng.randrange(len(clause) + 1), rng.choice(clause))
+                clauses.append(clause)
+            assert assert_same_model(clauses, num_vars) == lex_greatest_model(clauses, num_vars)
+
+    def test_repeated_literals_and_tautologies(self):
+        # [1, 2, 2] with 1 false leaves 2 as the only way out.
+        assert _cdcl([[1, 2, 2], [-1]], 2) == {1: False, 2: True}
+        assert _cdcl([[1, 2, 1], [-2]], 2) == {1: True, 2: False}
+        assert _cdcl([[1, 1]], 1) == {1: True}
+        assert _cdcl([[1, -1], [-1, 2, -2]], 2) == {1: True, 2: True}
+        assert _cdcl([[1, 2, 2], [-1], [-2, -2]], 2) is None
+
+
+class TestTseitinShapes:
+    """The clause shapes Tseitin emits that a watched-literal loader must
+    handle, decided in both memorizing logics against the tree search."""
+
+    SHAPES = {
+        "a && a": [-1, -1, 2],   # a repeated literal
+        "a || a": [-2, 1, 1],
+        "a && !a": [-1, 1, 2],   # a tautology
+        "a || !a": [-2, 1, -1],
+        "!a": [-1],              # a unit from a negated root
+        "T && F": [-2],          # units from constants
+        "!(a || !a)": [-2],
+    }
+
+    @pytest.mark.parametrize("text", list(SHAPES))
+    def test_shape_is_emitted(self, text):
+        clauses, _, _ = _tseitin(parse(text))
+        assert self.SHAPES[text] in clauses
+
+    @pytest.mark.parametrize("text", list(SHAPES) + [
+        "(a && a) || !(a && !a)", "!(T && F) && (a || a) && !a", "(a && b) && !(b || b)"])
+    @pytest.mark.parametrize("logic", [Logic.MSCL, Logic.SSCL])
+    def test_solve_matches_tree_search(self, text, logic):
+        f = parse(text)
+        assert solve(logic, f).answer == sat_brute_control(logic, f).answer
+
+    def test_criterion_10_chain(self):
+        # Neg of 5,000 nested Cons: the lex-greatest model sets every atom
+        # true but the innermost, so the witness runs the whole chain.
+        f = Lit("x0")
+        for i in range(1, 5000):
+            f = Con(Lit(f"x{i}"), f)
+        f = Neg(f)
+        assert node_count(f) == 10000
+        expected = tuple((f"x{i}", i != 0) for i in range(4999, -1, -1))
+        for logic in (Logic.MSCL, Logic.SSCL):
+            out = solve(logic, f)
+            assert out.answer == "yes"
+            assert out.witness == expected

@@ -32,3 +32,15 @@ def test_tree_growth_within_bound(monkeypatch, capsys):
         assert int(bound) == 2 ** int(n)
         assert 1 <= int(observed) <= int(bound)
 
+
+
+def test_cnf_scaling_rows(monkeypatch, capsys):
+    code, out = run_script(monkeypatch, capsys, "cnf_scaling", "--sizes", "10", "12")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "n sat median_s max_s"
+    rows = [line.split() for line in lines[1:]]
+    assert [n for n, _, _, _ in rows] == ["10", "12"]
+    for _, sat, median, worst in rows:
+        assert 0 <= int(sat.split("/")[0]) <= int(sat.split("/")[1]) == 5
+        assert 0 <= float(median) <= float(worst)
