@@ -19,6 +19,7 @@ from sclsat.sat_solvers import Logic, solve
 
 RATIO = 4.26
 SAMPLES = 5
+SEED = 0
 
 
 def random_3cnf(rng: random.Random, n: int) -> Formula:
@@ -35,14 +36,13 @@ def random_3cnf(rng: random.Random, n: int) -> Formula:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", type=int, nargs="+", default=[60, 80, 100])
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     if min(args.sizes) < 3:
         parser.error("every size must be at least 3")
 
     print("n sat median_s max_s")
     for n in args.sizes:
-        rng = random.Random(f"{args.seed}:{n}")
+        rng = random.Random(f"{SEED}:{n}")
         times = []
         sat = 0
         for _ in range(SAMPLES):

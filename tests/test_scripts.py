@@ -33,7 +33,6 @@ def test_tree_growth_within_bound(monkeypatch, capsys):
         assert 1 <= int(observed) <= int(bound)
 
 
-
 def test_cnf_scaling_rows(monkeypatch, capsys):
     code, out = run_script(monkeypatch, capsys, "cnf_scaling", "--sizes", "10", "12")
     assert code == 0
