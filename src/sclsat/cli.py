@@ -10,17 +10,21 @@ Subcommands:
 
 Exit codes: 0 yes / success, 1 no / failed check, 2 unknown, 64 usage error,
 65 parse error.
+
+main(argv) may be called repeatedly in one process; it builds its argparse
+parser on the first call and reuses it afterwards.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
 from .axiom_suite import SYSTEMS, axiom_table, check_fscl_soundness, check_model_soundness, instantiate
 from .eval_tree import export_dot, render_tree, se
-from .formula_core import Formula, Lit, ParseError, parse, render
+from .formula_core import FALSE, TRUE, Con, Dis, Formula, Lit, Neg, ParseError, parse, render
 from .normal_form import classify_nf, normalize
 from .paths import (
     PathParseError,
@@ -55,6 +59,15 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+class _NonNegative(argparse.Action):
+    """Store an int option, rejecting negative values as a usage error."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            raise argparse.ArgumentError(self, f"must be non-negative, got {value}")
+        setattr(namespace, self.dest, value)
 
 
 def _read_formula(text: str) -> Formula:
@@ -149,8 +162,6 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def _random_formula(rng: random.Random, atoms: list[str], max_nodes: int) -> Formula:
-    from .formula_core import Con, Dis, Neg, TRUE, FALSE
-
     def build(budget: int) -> Formula:
         if budget <= 1:
             return rng.choice([TRUE, FALSE] + [Lit(a) for a in atoms])
@@ -206,7 +217,8 @@ def cmd_axioms(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="sclsat", description=__doc__,
+    # --help shows the module docstring up to its note for in-process callers.
+    parser = _Parser(prog="sclsat", description=__doc__.partition("\nmain(argv)")[0],
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -244,15 +256,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_ax.add_argument("--check", action="store_true",
                       help="run randomized soundness checks and report per-axiom pass counts")
     p_ax.add_argument("--seed", type=int, default=0)
-    p_ax.add_argument("--count", type=int, default=50,
+    p_ax.add_argument("--count", type=int, default=50, action=_NonNegative,
                       help="instantiations per axiom when checking")
     p_ax.set_defaults(func=cmd_axioms)
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser main uses: built on the first call, then kept for the
+    process.  Parsing leaves no state in it, and argparse looks up
+    sys.argv, sys.stdout and sys.stderr on each call, not when it is built."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, PathParseError) as exc:

@@ -321,9 +321,8 @@ def build_sva(p: ValuationPath, alphabet: Sequence[str] | None = None) -> Finite
     """Single-state static algebra of a memorizing path: an atom yields true
     iff some entry of p asserts it true."""
     alphabet = _path_alphabet(p, alphabet)
-    eval_table = {
-        a: (any(atom == a and value for atom, value in p),) for a in alphabet
-    }
+    asserted = {atom for atom, value in p if value}
+    eval_table = {a: (a in asserted,) for a in alphabet}
     deriv_table = {a: (1,) for a in alphabet}
     return FiniteAlgebra(1, alphabet, eval_table, deriv_table)
 

@@ -67,6 +67,19 @@ def build_va_reference(p, alphabet=None):
     return FiniteAlgebra(n + 1, alphabet, eval_table, deriv_table)
 
 
+def build_sva_reference(p, alphabet=None):
+    """Per-atom scan of the whole path, O(|alphabet| * n): an atom yields
+    true iff some entry asserts it true.  The oracle for the one-pass
+    build_sva."""
+    atoms = {atom for atom, _ in p}
+    if alphabet is not None:
+        atoms.update(alphabet)
+    alphabet = tuple(sorted(atoms))
+    eval_table = {a: (any(atom == a and value for atom, value in p),) for a in alphabet}
+    deriv_table = {a: (1,) for a in alphabet}
+    return FiniteAlgebra(1, alphabet, eval_table, deriv_table)
+
+
 def random_algebras():
     targets = st.sampled_from([FREE, REPETITION_PROOF, CONTRACTIVE, MEMORIZING, STATIC])
     return st.builds(
@@ -231,6 +244,26 @@ class TestConstructors:
             expected = build_va_reference(p, extra).to_json()
             assert build_va(p, extra).to_json() == expected
             assert build_cva(p, extra).to_json() == build_va_reference(contract(p), extra).to_json()
+
+    def test_sva_matches_per_atom_scan_reference(self):
+        rng = random.Random(20151019)
+        for i in range(2000):
+            atoms = [f"x{k}" for k in range(rng.randint(1, 8))]
+            length = 2000 if i == 0 else rng.randint(0, 16)
+            if i % 2:
+                # memorizing: every atom keeps the value it first had
+                fixed = {a: rng.random() < 0.5 for a in atoms}
+                p = tuple((a, fixed[a]) for a in (rng.choice(atoms) for _ in range(length)))
+                assert is_memorizing(p)
+            else:
+                p = tuple((rng.choice(atoms), rng.random() < 0.5) for _ in range(length))
+            extra = ("x1", "y") if i % 3 == 0 else None
+            assert build_sva(p, extra).to_json() == build_sva_reference(p, extra).to_json()
+
+    def test_sva_on_many_distinct_atoms(self):
+        rng = random.Random(20151020)
+        p = tuple((f"v{k}", rng.random() < 0.5) for k in rng.sample(range(10_000), 2000))
+        assert build_sva(p).to_json() == build_sva_reference(p).to_json()
 
     def test_extra_alphabet(self):
         v = build_va((("a", True),), alphabet=("a", "b"))
