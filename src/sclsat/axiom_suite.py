@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .eval_tree import se
+from .eval_tree import FALSE_LEAF, TRUE_LEAF, Branch, EvalTree, fold_se
 from .formula_core import Con, Dis, Formula, Lit, Neg, atoms_of, parse, postorder
 from .valuation_algebras import ValuationAlgebra, congruent
 
@@ -177,8 +177,20 @@ def instantiate(
 
 def check_fscl_soundness(lhs: Formula, rhs: Formula) -> bool:
     """Structural equality of evaluation trees: the equational criterion of
-    the free logic."""
-    return se(lhs) == se(rhs)
+    the free logic.  Both trees are built over one table of unique branches,
+    so equal trees are the same object and ``is`` decides equality in time
+    linear in the two formulas, however many leaves the trees have."""
+    unique: dict[tuple[int, str, int], Branch] = {}
+
+    def branch(t: EvalTree, lit: Lit, e: EvalTree) -> EvalTree:
+        key = (id(t), lit.atom, id(e))
+        node = unique.get(key)
+        if node is None:
+            node = unique[key] = Branch(t, lit.atom, e)
+        return node
+
+    left = fold_se(lhs, TRUE_LEAF, FALSE_LEAF, branch)[0]
+    return left is fold_se(rhs, TRUE_LEAF, FALSE_LEAF, branch)[0]
 
 
 def check_model_soundness(v: ValuationAlgebra, lhs: Formula, rhs: Formula) -> bool:

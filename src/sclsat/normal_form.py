@@ -13,9 +13,14 @@ The normal-form grammar (a ranges over atoms):
 T-terms have evaluation trees closed by true, F-terms trees closed by false,
 l-terms and T*-terms open trees.
 
+``classify_nf`` checks the grammar top-down on an explicit stack.  At each
+node the shape picks the only production that can apply: an l-term is the
+only *-term whose left operand is a conjunction headed by a literal.
+
 ``normalize`` rebuilds a formula bottom-up into this grammar.  Each subformula
-is tagged as a T-term, an F-term, a *-term, or a T*-term, and every combination
-rule below preserves the evaluation tree exactly; the key identities are
+is tagged as a T-term, an F-term, a *-term, or a T*-term, each held as the
+formula it prints, and every combination rule below preserves the evaluation
+tree exactly; the key identities are
 
     se((a && x) || y) = se(x) <| a |> se(y)      for a T-term x, F-term y
     se(p && q) = se(p)[T -> se(q), F -> F]
@@ -49,101 +54,62 @@ class NfClass(Enum):
 
 # --- grammar membership -----------------------------------------------------
 
-def _is_tterm(f: Formula) -> bool:
-    if f == TRUE:
-        return True
-    return (
-        isinstance(f, Dis)
-        and isinstance(f.left, Con)
-        and isinstance(f.left.left, Lit)
-        and _is_tterm(f.left.right)
-        and _is_tterm(f.right)
-    )
-
-
-def _is_fterm(f: Formula) -> bool:
-    if f == FALSE:
-        return True
-    return (
-        isinstance(f, Con)
-        and isinstance(f.left, Dis)
-        and isinstance(f.left.left, Lit)
-        and _is_fterm(f.left.right)
-        and _is_fterm(f.right)
-    )
-
-
-def _is_lterm(f: Formula) -> bool:
+def _l_shaped(f: Formula) -> bool:
+    # ((+-a && x) || y).  Of the *-terms only l-terms have this shape: the left
+    # operand of a *-term conjunction is itself a *-term, never a literal.
     if not (isinstance(f, Dis) and isinstance(f.left, Con)):
         return False
     head = f.left.left
-    if not (isinstance(head, Lit) or (isinstance(head, Neg) and isinstance(head.inner, Lit))):
-        return False
-    return _is_tterm(f.left.right) and _is_fterm(f.right)
+    return isinstance(head, Lit) or (isinstance(head, Neg) and isinstance(head.inner, Lit))
 
 
-def _is_cterm(f: Formula) -> bool:
-    if _is_lterm(f):
-        return True
-    return isinstance(f, Con) and _is_star(f.left) and _is_dterm(f.right)
-
-
-def _is_dterm(f: Formula) -> bool:
-    if _is_lterm(f):
-        return True
-    return isinstance(f, Dis) and _is_star(f.left) and _is_cterm(f.right)
-
-
-def _is_star(f: Formula) -> bool:
-    return _is_cterm(f) or _is_dterm(f)
+def _derives(f: Formula, symbol: str) -> bool:
+    """Whether f derives from the grammar symbol "PT", "PF", "Pl", "Pc", "Pd"
+    or "P*".  Checked top-down: the shape of each node picks the only
+    production that can apply, so nothing is retried.  The check descends
+    into left operands and keeps the right operands still to check, with
+    their symbols, on an explicit stack; every derivation ends at T or F."""
+    pending: list[tuple[Formula, str]] = []
+    while True:
+        if isinstance(f, Const):
+            if symbol != ("PT" if f.value else "PF"):
+                return False
+            if not pending:
+                return True
+            f, symbol = pending.pop()
+        elif symbol == "PT":
+            if not (isinstance(f, Dis) and isinstance(f.left, Con) and isinstance(f.left.left, Lit)):
+                return False
+            pending.append((f.right, symbol))
+            f = f.left.right
+        elif symbol == "PF":
+            if not (isinstance(f, Con) and isinstance(f.left, Dis) and isinstance(f.left.left, Lit)):
+                return False
+            pending.append((f.right, symbol))
+            f = f.left.right
+        elif _l_shaped(f):
+            pending.append((f.right, "PF"))
+            f, symbol = f.left.right, "PT"
+        elif isinstance(f, Con) and symbol in ("Pc", "P*"):
+            pending.append((f.right, "Pd"))
+            f, symbol = f.left, "P*"
+        elif isinstance(f, Dis) and symbol in ("Pd", "P*"):
+            pending.append((f.right, "Pc"))
+            f, symbol = f.left, "P*"
+        else:
+            return False
 
 
 def classify_nf(f: Formula) -> NfClass:
-    if _is_tterm(f):
+    if _derives(f, "PT"):
         return NfClass.T_TERM
-    if _is_fterm(f):
+    if _derives(f, "PF"):
         return NfClass.F_TERM
-    if isinstance(f, Con) and _is_tterm(f.left) and _is_star(f.right):
+    if isinstance(f, Con) and _derives(f.left, "PT") and _derives(f.right, "P*"):
         return NfClass.T_STAR_TERM
-    if _is_lterm(f):
+    if _derives(f, "Pl"):
         return NfClass.L_TERM
     return NfClass.NOT_NORMAL_FORM
-
-
-# --- tagged *-terms ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class _StarLit:
-    # l-term ((+-)a && tt) || ff, with tree se(tt) <| a |> se(ff) when positive
-    # and se(ff) <| a |> se(tt) when negated.
-    positive: bool
-    atom: str
-    tt: Formula
-    ff: Formula
-
-
-@dataclass(frozen=True)
-class _StarCon:
-    left: "_Star"
-    right: "_Star"  # must classify as an l-term or d-term
-
-
-@dataclass(frozen=True)
-class _StarDis:
-    left: "_Star"
-    right: "_Star"  # must classify as an l-term or c-term
-
-
-_Star = Union[_StarLit, _StarCon, _StarDis]
-
-
-def _star_formula(s: _Star) -> Formula:
-    if isinstance(s, _StarLit):
-        head: Formula = Lit(s.atom) if s.positive else Neg(Lit(s.atom))
-        return Dis(Con(head, s.tt), s.ff)
-    if isinstance(s, _StarCon):
-        return Con(_star_formula(s.left), _star_formula(s.right))
-    return Dis(_star_formula(s.left), _star_formula(s.right))
 
 
 # --- closed-term rules -----------------------------------------------------
@@ -168,50 +134,52 @@ def _ff(x: Formula, t: Formula | None, e: Formula | None) -> Formula:
 
 # --- *-term combinators -----------------------------------------------------
 
-def _tt_append(s: _Star, v: Formula) -> _Star:
+def _tt_append(s: Formula, v: Formula) -> Formula:
     # *-term with tree se(s)[T -> se(v), F -> F], for a T-term v.
-    if isinstance(s, _StarLit):
-        return _StarLit(s.positive, s.atom, _tt(s.tt, v, None), s.ff)
-    if isinstance(s, _StarCon):
-        return _StarCon(s.left, _tt_append(s.right, v))
+    if _l_shaped(s):
+        return Dis(Con(s.left.left, _tt(s.left.right, v, None)), s.right)
+    if isinstance(s, Con):
+        return Con(s.left, _tt_append(s.right, v))
     # (p || q) && v has the tree of (p && v) || (q && v) because se(v) is
     # closed by T, so the inner T -> T substitution leaves it untouched.
-    return _StarDis(_tt_append(s.left, v), _tt_append(s.right, v))
+    return Dis(_tt_append(s.left, v), _tt_append(s.right, v))
 
 
-def _ff_graft(s: _Star, w: Formula) -> _Star:
+def _ff_graft(s: Formula, w: Formula) -> Formula:
     # *-term with tree se(s)[F -> se(w)], for an F-term w.
-    if isinstance(s, _StarLit):
-        return _StarLit(s.positive, s.atom, s.tt, _ff(s.ff, None, w))
-    if isinstance(s, _StarCon):
+    if _l_shaped(s):
+        return Dis(s.left, _ff(s.right, None, w))
+    if isinstance(s, Con):
         # (p && q) || w has the tree of (p || w) && (q || w); se(w) is closed
         # by F, so the inner F -> F substitution leaves it untouched.
-        return _StarCon(_ff_graft(s.left, w), _ff_graft(s.right, w))
-    return _StarDis(s.left, _ff_graft(s.right, w))
+        return Con(_ff_graft(s.left, w), _ff_graft(s.right, w))
+    return Dis(s.left, _ff_graft(s.right, w))
 
 
-def _and_star(s: _Star, t: _Star) -> _Star:
+def _and_star(s: Formula, t: Formula) -> Formula:
     # *-term with tree se(s)[T -> se(t), F -> F].
-    if isinstance(t, _StarCon):
+    if isinstance(t, Con):
         # s && (p && q) = (s && p) && q, reassociated until the right operand
         # is an l-term or d-term as the Pc production requires.
         return _and_star(_and_star(s, t.left), t.right)
-    return _StarCon(s, t)
+    return Con(s, t)
 
 
-def _or_star(s: _Star, t: _Star) -> _Star:
+def _or_star(s: Formula, t: Formula) -> Formula:
     # *-term with tree se(s)[T -> T, F -> se(t)].
-    if isinstance(t, _StarDis):
+    if isinstance(t, Dis) and not _l_shaped(t):
         return _or_star(_or_star(s, t.left), t.right)
-    return _StarDis(s, t)
+    return Dis(s, t)
 
 
-def _neg_star(s: _Star) -> _Star:
-    if isinstance(s, _StarLit):
-        return _StarLit(not s.positive, s.atom, _tt(s.ff, None, TRUE), _ff(s.tt, FALSE, None))
-    if isinstance(s, _StarCon):
-        return _StarDis(_neg_star(s.left), _neg_star(s.right))
-    return _StarCon(_neg_star(s.left), _neg_star(s.right))
+def _neg_star(s: Formula) -> Formula:
+    if _l_shaped(s):
+        head = s.left.left
+        flipped = head.inner if isinstance(head, Neg) else Neg(head)
+        return Dis(Con(flipped, _tt(s.right, None, TRUE)), _ff(s.left.right, FALSE, None))
+    if isinstance(s, Con):
+        return Dis(_neg_star(s.left), _neg_star(s.right))
+    return Con(_neg_star(s.left), _neg_star(s.right))
 
 
 # --- tagged normalization ---------------------------------------------------
@@ -228,13 +196,13 @@ class _FF:
 
 @dataclass(frozen=True)
 class _ST:
-    star: _Star
+    star: Formula
 
 
 @dataclass(frozen=True)
 class _TStar:
     tt: Formula
-    star: _Star
+    star: Formula
 
 
 _Nf = Union[_TT, _FF, _ST, _TStar]
@@ -256,7 +224,7 @@ def _nf_and(m: _Nf, n: _Nf) -> _Nf:
         if isinstance(n, _TT):
             return _ST(_tt_append(m.star, n.term))
         if isinstance(n, _FF):
-            return _FF(_ff(_star_formula(m.star), n.term, FALSE))
+            return _FF(_ff(m.star, n.term, FALSE))
         if isinstance(n, _ST):
             return _ST(_and_star(m.star, n.star))
         return _ST(_and_star(_tt_append(m.star, n.tt), n.star))
@@ -283,7 +251,7 @@ def _nf_or(m: _Nf, n: _Nf) -> _Nf:
         return _TStar(_tt(m.term, None, n.tt), n.star)
     if isinstance(m, _ST):
         if isinstance(n, _TT):
-            return _TT(_tt(_star_formula(m.star), TRUE, n.term))
+            return _TT(_tt(m.star, TRUE, n.term))
         if isinstance(n, _FF):
             return _ST(_ff_graft(m.star, n.term))
         if isinstance(n, _ST):
@@ -313,7 +281,7 @@ def _norm(f: Formula) -> _Nf:
     if isinstance(f, Const):
         return _TT(TRUE) if f.value else _FF(FALSE)
     if isinstance(f, Lit):
-        return _ST(_StarLit(True, f.atom, TRUE, FALSE))
+        return _ST(Dis(Con(f, TRUE), FALSE))
     if isinstance(f, Neg):
         return _nf_neg(_norm(f.inner))
     if isinstance(f, Con):
@@ -332,5 +300,5 @@ def normalize(f: Formula) -> Formula:
     if isinstance(m, _FF):
         return m.term
     if isinstance(m, _ST):
-        return Con(TRUE, _star_formula(m.star))
-    return Con(m.tt, _star_formula(m.star))
+        return Con(TRUE, m.star)
+    return Con(m.tt, m.star)

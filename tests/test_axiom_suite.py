@@ -11,7 +11,8 @@ from sclsat.axiom_suite import (
     check_model_soundness,
     instantiate,
 )
-from sclsat.formula_core import Lit, parse, render
+from sclsat.eval_tree import se
+from sclsat.formula_core import Lit, enumerate_formulas, parse, render
 from sclsat.valuation_algebras import (
     CONTRACTIVE,
     MEMORIZING,
@@ -100,6 +101,49 @@ class TestTreeSoundness:
             for _ in range(50):
                 lhs, rhs = instantiate(scheme, *_random_bindings(rng, scheme))
                 assert check_fscl_soundness(lhs, rhs), scheme.name
+
+    def test_agrees_with_tree_equality_on_instantiated_axioms(self):
+        # Schemes of the stronger systems fail in the free logic on many
+        # instances, and crossed sides of two schemes mostly differ, so both
+        # answers are exercised.
+        rng = random.Random(1)
+        sides = []
+        for system in SYSTEMS:
+            for scheme in axiom_table(system):
+                for _ in range(5):
+                    lhs, rhs = instantiate(scheme, *_random_bindings(rng, scheme))
+                    assert check_fscl_soundness(lhs, rhs) is (se(lhs) == se(rhs)), scheme.name
+                    sides += [lhs, rhs]
+        answers = set()
+        for lhs in sides[::7]:
+            for rhs in sides[::11]:
+                got = check_fscl_soundness(lhs, rhs)
+                assert got is (se(lhs) == se(rhs))
+                answers.add(got)
+        assert answers == {True, False}
+
+    def test_agrees_with_tree_equality_on_small_formulas(self):
+        small = list(enumerate_formulas(["a"], 5))
+        trees = [se(f) for f in small]
+        for f, t in zip(small, trees):
+            for g, u in zip(small, trees):
+                assert check_fscl_soundness(f, g) is (t == u)
+
+    def test_shared_chain(self):
+        # se of this chain is a DAG of 2n + 2 nodes over a tree of 2^(n+1) - 1
+        # leaves; regrouping the conjunction does not change the tree.
+        n = 18
+        left = parse(" && ".join(f"(a{i} || b{i})" for i in range(n)))
+        right = parse("".join(f"(a{i} || b{i}) && (" for i in range(n - 1))
+                      + f"(a{n - 1} || b{n - 1})" + ")" * (n - 1))
+        assert left != right
+        assert check_fscl_soundness(left, right)
+        assert not check_fscl_soundness(left, parse(render(right).replace(f"b{n - 1}", "c")))
+
+    def test_flat_chain(self):
+        text = " && ".join(f"x{i}" for i in range(1200))
+        assert check_fscl_soundness(parse(text), parse(text))
+        assert not check_fscl_soundness(parse(text), parse(text + " && y"))
 
 
 class TestModelSoundness:

@@ -153,6 +153,15 @@ class TestNormalize:
         assert lines[0] == "T && ((a && T || F) && (!b && T || F))"
         assert lines[1].startswith("class:")
 
+    def test_flat_chain(self, capsys):
+        # The normal form nests 600 *-terms; its class is checked without
+        # recursion.
+        code, out, _ = run(capsys, "normalize", " && ".join(f"x{i}" for i in range(600)))
+        assert code == EXIT_YES
+        lines = out.strip().splitlines()
+        assert lines[0].count(" && T || F)") == 600
+        assert lines[1] == "class: T*-term"
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass
+from typing import Union
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from sclsat.formula_core import (
     enumerate_formulas,
     node_count,
     parse,
+    postorder,
     render,
 )
 from sclsat.normal_form import (
@@ -25,16 +28,9 @@ from sclsat.normal_form import (
     _FF,
     _Nf,
     _ST,
-    _Star,
-    _StarCon,
-    _StarDis,
-    _StarLit,
     _TStar,
     _TT,
-    _and_star,
     _ff,
-    _or_star,
-    _star_formula,
     _tt,
     classify_nf,
     normalize,
@@ -156,6 +152,42 @@ def _dual_ff(w: Formula) -> Formula:
     return Dis(Con(w.left.left, _dual_ff(w.right)), _dual_ff(w.left.right))
 
 
+# --- tagged *-terms ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class _StarLit:
+    # l-term ((+-)a && tt) || ff, with tree se(tt) <| a |> se(ff) when positive
+    # and se(ff) <| a |> se(tt) when negated.
+    positive: bool
+    atom: str
+    tt: Formula
+    ff: Formula
+
+
+@dataclass(frozen=True)
+class _StarCon:
+    left: "_Star"
+    right: "_Star"  # must classify as an l-term or d-term
+
+
+@dataclass(frozen=True)
+class _StarDis:
+    left: "_Star"
+    right: "_Star"  # must classify as an l-term or c-term
+
+
+_Star = Union[_StarLit, _StarCon, _StarDis]
+
+
+def _star_formula(s: _Star) -> Formula:
+    if isinstance(s, _StarLit):
+        head: Formula = Lit(s.atom) if s.positive else Neg(Lit(s.atom))
+        return Dis(Con(head, s.tt), s.ff)
+    if isinstance(s, _StarCon):
+        return Con(_star_formula(s.left), _star_formula(s.right))
+    return Dis(_star_formula(s.left), _star_formula(s.right))
+
+
 # --- *-term combinators -----------------------------------------------------
 
 def _star_to_ff(s: _Star, tcont: Formula, fcont: Formula) -> Formula:
@@ -204,6 +236,22 @@ def _ff_graft(s: _Star, w: Formula) -> _Star:
         # by F, so the inner F -> F substitution leaves it untouched.
         return _StarCon(_ff_graft(s.left, w), _ff_graft(s.right, w))
     return _StarDis(s.left, _ff_graft(s.right, w))
+
+
+def _and_star(s: _Star, t: _Star) -> _Star:
+    # *-term with tree se(s)[T -> se(t), F -> F].
+    if isinstance(t, _StarCon):
+        # s && (p && q) = (s && p) && q, reassociated until the right operand
+        # is an l-term or d-term as the Pc production requires.
+        return _and_star(_and_star(s, t.left), t.right)
+    return _StarCon(s, t)
+
+
+def _or_star(s: _Star, t: _Star) -> _Star:
+    # *-term with tree se(s)[T -> T, F -> se(t)].
+    if isinstance(t, _StarDis):
+        return _or_star(_or_star(s, t.left), t.right)
+    return _StarDis(s, t)
 
 
 
@@ -309,6 +357,70 @@ def normalize_reference(f: Formula) -> Formula:
         return Con(TRUE, _star_formula(m.star))
     return Con(m.tt, _star_formula(m.star))
 
+
+# --- the recursive grammar predicates, kept as the oracle -------------------
+
+def _is_tterm(f: Formula) -> bool:
+    if f == TRUE:
+        return True
+    return (
+        isinstance(f, Dis)
+        and isinstance(f.left, Con)
+        and isinstance(f.left.left, Lit)
+        and _is_tterm(f.left.right)
+        and _is_tterm(f.right)
+    )
+
+
+def _is_fterm(f: Formula) -> bool:
+    if f == FALSE:
+        return True
+    return (
+        isinstance(f, Con)
+        and isinstance(f.left, Dis)
+        and isinstance(f.left.left, Lit)
+        and _is_fterm(f.left.right)
+        and _is_fterm(f.right)
+    )
+
+
+def _is_lterm(f: Formula) -> bool:
+    if not (isinstance(f, Dis) and isinstance(f.left, Con)):
+        return False
+    head = f.left.left
+    if not (isinstance(head, Lit) or (isinstance(head, Neg) and isinstance(head.inner, Lit))):
+        return False
+    return _is_tterm(f.left.right) and _is_fterm(f.right)
+
+
+def _is_cterm(f: Formula) -> bool:
+    if _is_lterm(f):
+        return True
+    return isinstance(f, Con) and _is_star(f.left) and _is_dterm(f.right)
+
+
+def _is_dterm(f: Formula) -> bool:
+    if _is_lterm(f):
+        return True
+    return isinstance(f, Dis) and _is_star(f.left) and _is_cterm(f.right)
+
+
+def _is_star(f: Formula) -> bool:
+    return _is_cterm(f) or _is_dterm(f)
+
+
+def classify_reference(f: Formula) -> NfClass:
+    if _is_tterm(f):
+        return NfClass.T_TERM
+    if _is_fterm(f):
+        return NfClass.F_TERM
+    if isinstance(f, Con) and _is_tterm(f.left) and _is_star(f.right):
+        return NfClass.T_STAR_TERM
+    if _is_lterm(f):
+        return NfClass.L_TERM
+    return NfClass.NOT_NORMAL_FORM
+
+
 SUITE = list(enumerate_formulas(["a", "b"], 7))
 
 
@@ -374,3 +486,50 @@ class TestClosedTermRules:
             oracle(term)
         got = rule(term)
         assert same_formula(got, _run_deep(oracle, term))
+
+
+class TestGrammarCheck:
+    def test_matches_oracle_on_suite(self):
+        assert len(SUITE) == 22140
+        outside = 0
+        for f in SUITE:
+            got = classify_nf(f)
+            assert got is classify_reference(f)
+            outside += got is NfClass.NOT_NORMAL_FORM
+            g = normalize(f)
+            assert classify_nf(g) is classify_reference(g)
+        assert outside > len(SUITE) // 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(formulas(atoms=("a", "b", "c"), max_leaves=12), formulas(atoms=("a", "b"), max_leaves=8))
+    def test_matches_oracle_on_pieces_of_normal_forms(self, f, h):
+        # Subterms of normal forms are l-terms, c- and d-terms and closed
+        # terms; joining two of them gives formulas one production away from
+        # the grammar.
+        pieces = list(postorder(normalize(f)))[-12:] + list(postorder(normalize(h)))[-12:]
+        for p in pieces:
+            assert classify_nf(p) is classify_reference(p)
+        for p in pieces[::3]:
+            for q in pieces[1::3]:
+                for joined in (Con(p, q), Dis(p, q), Con(TRUE, Con(p, q)), Con(TRUE, Dis(p, q))):
+                    assert classify_nf(joined) is classify_reference(joined)
+
+    @pytest.mark.parametrize(
+        "make, expected",
+        [
+            (lambda: _deep_tterm(5000), NfClass.T_TERM),
+            (lambda: _deep_fterm(5000), NfClass.F_TERM),
+            (
+                lambda: Con(_deep_tterm(5000),
+                            Dis(Con(Neg(Lit("a")), _deep_tterm(5000)), _deep_fterm(5000))),
+                NfClass.T_STAR_TERM,
+            ),
+        ],
+        ids=["tterm", "fterm", "tstar"],
+    )
+    def test_deep_terms(self, make, expected):
+        term = make()
+        with pytest.raises(RecursionError):
+            classify_reference(term)
+        assert classify_nf(term) is expected
+        assert _run_deep(classify_reference, term) is expected
