@@ -10,8 +10,10 @@ Every walk over a formula is a fold over ``postorder(f)``, which yields each
 distinct node once, keyed by identity, children before their parent and the
 left operand first.  A fold keeps one value per node in a dict keyed by
 ``id(node)``, so shared subterms are computed once and deep formulas need no
-recursion.  The solvers' flag pass and Tseitin encoding and the axiom
-instantiation are folds of the same kind.  ``parse`` and ``render`` keep
+recursion.  The solvers' flag pass, the boolean encoder's atom numbering
+and gates, and the axiom instantiation are folds of the same kind; the
+gates are defined by walks that share one set of entered nodes, so each node
+is defined once.  ``parse`` and ``render`` keep
 explicit stacks of their own, because text is read and written top-down.
 """
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 ATOM_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 RESERVED_WORDS = frozenset({"T", "F"})
@@ -177,11 +179,15 @@ def parse(text: str) -> Formula:
     return _Parser(text).parse()
 
 
-def postorder(f: Formula) -> Iterator[Formula]:
+def postorder(f: Formula, entered: Optional[set[int]] = None) -> Iterator[Formula]:
     """Each distinct node of f once, keyed by identity: children before their
     parent, the left operand before the right.  An explicit stack copes with
-    deep formulas, and a subterm shared by several parents is visited once."""
-    entered: set[int] = set()
+    deep formulas, and a subterm shared by several parents is visited once.
+    entered holds the ids of nodes already visited, and gains each node
+    visited; walks that share it, each run to its end, visit a node once
+    between them."""
+    if entered is None:
+        entered = set()
     # (node, True) once the node's children have been pushed.
     stack: list[tuple[Formula, bool]] = [(f, False)]
     while stack:

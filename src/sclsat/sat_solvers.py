@@ -19,7 +19,8 @@ Five testers are provided:
     sat_boolean        classical reduction: memorizing paths are exactly the
                        traces under a boolean assignment, so static-order
                        CDCL, which returns the lex-greatest model, decides
-                       MSCL and SSCL
+                       MSCL and SSCL; f is clausified with its asserted top
+                       as plain clauses and Tseitin gates only beneath it
 
 ``solve`` dispatches by strategy, routes "auto" to the decision procedure for
 the requested logic, and verifies every witness before returning it.
@@ -33,7 +34,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .eval_tree import EvalTree, Leaf, fold_se, se
-from .formula_core import Con, Const, Formula, Lit, Neg, postorder
+from .formula_core import Con, Const, Dis, Formula, Lit, Neg, postorder
 from .paths import (
     PathDiscipline,
     ValuationPath,
@@ -65,6 +66,15 @@ def check_path(logic: Logic, p: ValuationPath) -> bool:
 
 @dataclass(frozen=True)
 class SatOutcome:
+    """A solver's answer on f in one logic.  node_visits counts one unit of
+    work whose meaning depends on the solver: evaluation-tree nodes popped
+    (brute-control, brute-force); distinct subformulas flagged plus formula
+    nodes walked for the trace (direct); formula nodes popped by fold_se
+    (open); and for boolean the size of f's Tseitin encoding, 1 + distinct
+    constants + 3 x distinct binary connectives, however few clauses the
+    search is given.  leaves_explored counts the tree leaves the brute-force
+    searches reach, and is 0 elsewhere."""
+
     answer: str  # "yes" | "no" | "unknown"
     witness: Optional[ValuationPath]
     logic: Logic
@@ -317,45 +327,125 @@ def sat_open(logic: Logic, f: Formula) -> SatOutcome:
 
 # --- boolean solver ---------------------------------------------------------
 
-def _tseitin(f: Formula) -> tuple[list[list[int]], dict[str, int], int]:
+def _clausify(f: Formula) -> tuple[Optional[list[list[int]]], dict[str, int], int, int]:
     """CNF whose models are the boolean assignments making f classically true.
-    Returns (clauses, atom variable map, variable count).  Variables are
-    numbered in post-order, one per constant and connective and one per atom
-    at its first occurrence; a negation reuses its operand's variable.  The
-    clauses go to static-order CDCL, which returns the lex-greatest model, so
-    this numbering fixes which model, and hence which witness, is found."""
+    Returns (clauses, atom variable map, variable count, size).  clauses is
+    None when a constant refutes f outright; no clause is ever empty.  size
+    is the clause count of f's full Tseitin encoding, one unit per distinct
+    constant, three clauses per distinct binary connective and the root unit,
+    whatever this encoding emits.
+
+    f is asserted true top-down on an explicit stack: a negation flips the
+    polarity, and a conjunction asserted true or a disjunction asserted false
+    splits into its operands.  An asserted atom is a unit clause; an asserted
+    constant drops out or refutes f.  A disjunction asserted true or a
+    conjunction asserted false becomes one clause: its flattened chain of
+    same-kind operands, read through negations, left operand first.  In that
+    chain a true constant satisfies the clause and a false one drops out; any
+    other operand enters as the literal of a Tseitin gate, defined by full
+    equivalence with three clauses per connective.  Each (node, polarity) is
+    asserted once and each node is flattened into one clause at most; a node
+    reached again inside a clause, or one gated already, enters through its
+    gate, so the encoding is linear in f's distinct nodes.
+
+    Atoms are numbered 1..k in their first-occurrence post-order; gate and
+    constant variables follow, in post-order, so each is defined by
+    lower-numbered variables.  Static-order CDCL returns the lex-greatest
+    model; every gate is propagated once the atoms are set, so only atoms are
+    decided, and the model's atom part is the lex-greatest assignment of the
+    atoms, in this order, that makes f true.  That fixes which witness is
+    found."""
     atom_var: dict[str, int] = {}
-    clauses: list[list[int]] = []
-    next_var = 0
-    lit_of: dict[int, int] = {}
+    size = 1
     for node in postorder(f):
-        if isinstance(node, Const):
-            next_var += 1
-            clauses.append([next_var if node.value else -next_var])
-            lit_of[id(node)] = next_var
-        elif isinstance(node, Lit):
+        if isinstance(node, Lit):
             if node.atom not in atom_var:
+                atom_var[node.atom] = len(atom_var) + 1
+        elif isinstance(node, Const):
+            size += 1
+        elif not isinstance(node, Neg):
+            size += 3
+    clauses: list[list[int]] = []
+    next_var = len(atom_var)
+    # The literal of each node beneath a gate, keyed by identity; gated holds
+    # the same ids for postorder to skip.
+    lit_of: dict[int, int] = {}
+    gated: set[int] = set()
+
+    def gate(root: Formula) -> int:
+        """The literal of root, defining the gates beneath it in post-order."""
+        nonlocal next_var
+        for node in postorder(root, gated):
+            if isinstance(node, Lit):
+                lit_of[id(node)] = atom_var[node.atom]
+            elif isinstance(node, Neg):
+                lit_of[id(node)] = -lit_of[id(node.inner)]
+            elif isinstance(node, Const):
                 next_var += 1
-                atom_var[node.atom] = next_var
-            lit_of[id(node)] = atom_var[node.atom]
-        elif isinstance(node, Neg):
-            lit_of[id(node)] = -lit_of[id(node.inner)]
-        else:
-            left = lit_of[id(node.left)]
-            right = lit_of[id(node.right)]
-            next_var += 1
-            g = next_var
-            if isinstance(node, Con):
-                clauses.append([-g, left])
-                clauses.append([-g, right])
-                clauses.append([-left, -right, g])
+                clauses.append([next_var if node.value else -next_var])
+                lit_of[id(node)] = next_var
             else:
-                clauses.append([-g, left, right])
-                clauses.append([-left, g])
-                clauses.append([-right, g])
-            lit_of[id(node)] = g
-    clauses.append([lit_of[id(f)]])
-    return clauses, atom_var, next_var
+                left = lit_of[id(node.left)]
+                right = lit_of[id(node.right)]
+                next_var += 1
+                g = next_var
+                if isinstance(node, Con):
+                    clauses.extend(([-g, left], [-g, right], [-left, -right, g]))
+                else:
+                    clauses.extend(([-g, left, right], [-left, g], [-right, g]))
+                lit_of[id(node)] = g
+        return lit_of[id(root)]
+
+    asserted: set[tuple[int, bool]] = set()
+    flattened: set[int] = set()
+    stack: list[tuple[Formula, bool]] = [(f, True)]
+    while stack:
+        node, polarity = stack.pop()
+        key = (id(node), polarity)
+        if key in asserted:
+            continue
+        asserted.add(key)
+        if isinstance(node, Lit):
+            var = atom_var[node.atom]
+            clauses.append([var if polarity else -var])
+        elif isinstance(node, Neg):
+            stack.append((node.inner, not polarity))
+        elif isinstance(node, Const):
+            if node.value != polarity:
+                return None, atom_var, next_var, size
+        elif isinstance(node, Con) == polarity:
+            stack.append((node.right, polarity))
+            stack.append((node.left, polarity))
+        else:
+            clause: list[int] = []
+            chain = [(node, polarity)]
+            while chain:
+                operand, positive = chain.pop()
+                if isinstance(operand, Lit):
+                    lit = atom_var[operand.atom]
+                elif isinstance(operand, Const):
+                    if operand.value == positive:
+                        break
+                    continue
+                elif id(operand) in flattened or id(operand) in gated:
+                    lit = gate(operand)
+                elif isinstance(operand, Neg):
+                    flattened.add(id(operand))
+                    chain.append((operand.inner, not positive))
+                    continue
+                elif isinstance(operand, Dis) == positive:
+                    flattened.add(id(operand))
+                    chain.append((operand.right, positive))
+                    chain.append((operand.left, positive))
+                    continue
+                else:
+                    lit = gate(operand)
+                clause.append(lit if positive else -lit)
+            else:
+                if not clause:
+                    return None, atom_var, next_var, size
+                clauses.append(clause)
+    return clauses, atom_var, next_var, size
 
 
 def _cdcl(clauses: list[list[int]], num_vars: int) -> Optional[dict[int, bool]]:
@@ -370,7 +460,10 @@ def _cdcl(clauses: list[list[int]], num_vars: int) -> Optional[dict[int, bool]]:
     watched literals per clause (Chaff); a conflict is analysed to its first
     unique implication point and the learned clause backjumps
     non-chronologically (GRASP).  Learned clauses are kept for the whole
-    call; there is no activity heuristic, phase saving or restart.
+    call; there is no activity heuristic, phase saving or restart.  On the
+    clauses of ``_clausify`` every variable above the atoms is defined by
+    lower-numbered ones, so once the atoms are decided propagation sets the
+    rest: only atoms are ever decided.
 
     Why the model is the lex-greatest one, M*: learned clauses are implied
     by the input, so M* satisfies them too, and propagation from a trail
@@ -554,16 +647,21 @@ def sat_boolean(logic: Logic, f: Formula) -> SatOutcome:
     """Reduce to classical satisfiability: a memorizing true trace exists
     exactly when some boolean assignment makes f classically true, and
     static-order CDCL, which returns the lex-greatest model, finds one.
+    ``_clausify`` asserts f's top directly and names only the subformulas
+    beneath it by Tseitin gates; a constant that refutes f answers without a
+    search.  The model's atom part is the lex-greatest assignment of the
+    atoms, in first-occurrence post-order, that makes f true, which is what
+    the full Tseitin encoding gives as well, so the witness is the one that
+    encoding would give.  node_visits is the size of that full encoding.
     Decides MSCL and SSCL; a model also yields a witness for the looser
     logics, while boolean-unsatisfiable leaves them Unknown."""
-    clauses, atom_var, num_vars = _tseitin(f)
-    model = _cdcl(clauses, num_vars)
-    visits = len(clauses)
+    clauses, atom_var, num_vars, visits = _clausify(f)
+    model = None if clauses is None else _cdcl(clauses, num_vars)
     if model is None:
         if logic in (Logic.MSCL, Logic.SSCL):
             return SatOutcome("no", None, logic, "boolean", visits, 0)
         return SatOutcome("unknown", None, logic, "boolean", visits, 0)
-    sigma = {atom: model.get(var, False) for atom, var in atom_var.items()}
+    sigma = {atom: model[var] for atom, var in atom_var.items()}
     path = _assignment_path(f, sigma)
     return SatOutcome("yes", path, logic, "boolean", visits, 0)
 

@@ -368,6 +368,17 @@ class TestWalkersMatchReferences:
         assert node_count(f) == 15
         assert atom_occurrences(f) == 6
 
+    def test_postorder_walks_sharing_entered_skip_visited_nodes(self):
+        shared = parse("a && !b")
+        f = Dis(Con(shared, Neg(shared)), shared)
+        entered = set()
+        first = list(postorder(shared, entered))
+        second = list(postorder(f, entered))
+        assert first == list(postorder(shared))
+        assert [id(node) for node in first + second] == [id(node) for node in postorder(f)]
+        assert entered == {id(node) for node in first + second}
+        assert list(postorder(f, entered)) == []
+
 
 _TOKENS = ["a", "b", "T", "F", "!", "&&", "||", "(", ")", " ", "@", "ab_1"]
 

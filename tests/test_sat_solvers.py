@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 from typing import Optional
 
 import pytest
@@ -10,17 +11,17 @@ from hypothesis import given, settings
 
 from sclsat.eval_tree import leaf_profile, se
 from sclsat import sat_solvers
-from sclsat.formula_core import Con, Const, Dis, Lit, Neg, node_count, parse
+from sclsat.formula_core import Con, Const, Dis, Formula, Lit, Neg, node_count, parse, postorder
 from sclsat.paths import is_memorizing
 from sclsat.sat_solvers import (
     _EMPTY,
     Logic,
     SatOutcome,
     _cdcl,
+    _clausify,
     _cons_to_path,
     _lit_slot,
     _sat_fal_flags,
-    _tseitin,
     check_path,
     falsify,
     sat_boolean,
@@ -384,6 +385,49 @@ def test_auto_unknown_raises(monkeypatch):
         solve(Logic.MSCL, parse("a && !a"))
 
 
+# --- oracle: the full Tseitin encoding that _clausify replaced ---
+
+def _tseitin(f: Formula) -> tuple[list[list[int]], dict[str, int], int]:
+    """CNF whose models are the boolean assignments making f classically true.
+    Returns (clauses, atom variable map, variable count).  Variables are
+    numbered in post-order, one per constant and connective and one per atom
+    at its first occurrence; a negation reuses its operand's variable.  The
+    clauses go to static-order CDCL, which returns the lex-greatest model, so
+    this numbering fixes which model, and hence which witness, is found."""
+    atom_var: dict[str, int] = {}
+    clauses: list[list[int]] = []
+    next_var = 0
+    lit_of: dict[int, int] = {}
+    for node in postorder(f):
+        if isinstance(node, Const):
+            next_var += 1
+            clauses.append([next_var if node.value else -next_var])
+            lit_of[id(node)] = next_var
+        elif isinstance(node, Lit):
+            if node.atom not in atom_var:
+                next_var += 1
+                atom_var[node.atom] = next_var
+            lit_of[id(node)] = atom_var[node.atom]
+        elif isinstance(node, Neg):
+            lit_of[id(node)] = -lit_of[id(node.inner)]
+        else:
+            left = lit_of[id(node.left)]
+            right = lit_of[id(node.right)]
+            next_var += 1
+            g = next_var
+            if isinstance(node, Con):
+                clauses.append([-g, left])
+                clauses.append([-g, right])
+                clauses.append([-left, -right, g])
+            else:
+                clauses.append([-g, left, right])
+                clauses.append([-left, g])
+                clauses.append([-right, g])
+            lit_of[id(node)] = g
+    clauses.append([lit_of[id(f)]])
+    return clauses, atom_var, next_var
+
+
 # --- oracle: the plain DPLL search that static-order CDCL replaced ---
 
 def _dpll(clauses: list[list[int]], num_vars: int) -> Optional[dict[int, bool]]:
@@ -613,3 +657,129 @@ class TestTseitinShapes:
             out = solve(logic, f)
             assert out.answer == "yes"
             assert out.witness == expected
+
+
+# --- the asserted-top encoding against the full Tseitin oracle ---
+
+def assert_matches_tseitin(f):
+    """_cdcl on _clausify(f) gives the answer and the atom assignment that
+    _dpll gives on f's full Tseitin encoding, atoms keep their relative
+    order, and the size is that encoding's clause count.  Returns the model."""
+    clauses, atom_var, num_vars, size = _clausify(f)
+    expected_clauses, expected_atom_var, expected_vars = tseitin_reference(f)
+    assert size == len(expected_clauses)
+    assert list(atom_var.items()) == [(atom, i + 1) for i, atom in enumerate(expected_atom_var)]
+    if clauses is not None:
+        assert all(clauses)
+        assert all(0 < abs(lit) <= num_vars for clause in clauses for lit in clause)
+    model = None if clauses is None else _cdcl(clauses, num_vars)
+    expected = _dpll(expected_clauses, expected_vars)
+    assert (model is None) == (expected is None)
+    if model is not None:
+        assert ({atom: model[var] for atom, var in atom_var.items()}
+                == {atom: expected[var] for atom, var in expected_atom_var.items()})
+    return model
+
+
+class TestClausifyMatchesTseitin:
+    def test_suite(self):
+        for f in SUITE:
+            assert_matches_tseitin(f)
+
+    @settings(max_examples=300, deadline=None)
+    @given(formulas(atoms=tuple(f"x{i}" for i in range(20)), max_leaves=100)
+           .filter(lambda f: 5 <= node_count(f) <= 200))
+    def test_random_formulas(self, f):
+        assert_matches_tseitin(f)
+
+    def test_random_3cnf(self):
+        rng = random.Random(4027)
+        answers = set()
+        for num_vars in range(40, 61, 2):
+            model = assert_matches_tseitin(cnf_formula(random_3cnf(rng, num_vars)))
+            answers.add(model is not None)
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize("holes", [4, 5])
+    def test_pigeonhole(self, holes):
+        clauses, _ = pigeonhole(holes)
+        assert assert_matches_tseitin(cnf_formula(clauses)) is None
+
+
+def _no_search(clauses, num_vars):
+    raise AssertionError("_cdcl was called")
+
+
+def shared_dag(kinds, depth):
+    """depth levels over one shared operand: s := kind(s, s), kinds cycled;
+    "!" in a kind negates the right operand."""
+    s = Dis(Lit("a"), Neg(Lit("b")))
+    for level in range(depth):
+        kind = kinds[level % len(kinds)]
+        right = Neg(s) if kind.startswith("!") else s
+        s = Con(s, right) if kind.endswith("&&") else Dis(s, right)
+    return s
+
+
+class TestClausifyShapes:
+    @pytest.mark.parametrize("text, expected", [
+        ("a || a", [[1, 1]]),                 # a repeated literal in front
+        ("a || !a", [[1, -1]]),               # tautologies
+        ("!(a && !a)", [[-1, 1]]),
+        ("a && !b", [[1], [-2]]),             # asserted atoms are units
+        ("!(a || b) && !!c", [[-1], [-2], [3]]),
+        ("(a || !b) || !(c && d)", [[1, -2, -3, -4]]),   # one flattened chain
+        ("(a && b) || c", [[-4, 1], [-4, 2], [-1, -2, 4], [4, 3]]),  # a gate beneath
+        ("a || F", [[1]]),                    # a false constant drops out
+        ("(a || T) && b", [[2]]),             # a true one satisfies the clause
+        ("T && a", [[1]]),
+    ])
+    def test_clauses(self, text, expected):
+        f = parse(text)
+        assert _clausify(f)[0] == expected
+        assert_matches_tseitin(f)
+
+    @pytest.mark.parametrize("text", ["T && F", "F || F", "!(T && T)", "a && F", "!T", "(a || b) && !(F || T)"])
+    def test_constants_refute_without_search(self, text, monkeypatch):
+        f = parse(text)
+        monkeypatch.setattr(sat_solvers, "_cdcl", _no_search)
+        assert _clausify(f)[0] is None
+        for logic in (Logic.MSCL, Logic.SSCL):
+            out = sat_boolean(logic, f)
+            assert out.answer == "no"
+            assert out.node_visits == len(tseitin_reference(f)[0])
+
+    def test_criterion_10_chain_is_one_clause(self):
+        f = Lit("x0")
+        for i in range(1, 5000):
+            f = Con(Lit(f"x{i}"), f)
+        f = Neg(f)
+        clauses, atom_var, num_vars, size = _clausify(f)
+        assert num_vars == 5000
+        assert clauses == [[-atom_var[f"x{i}"] for i in range(4999, -1, -1)]]
+        assert size == 1 + 3 * 4999
+
+    def test_flat_conjunction_is_units(self):
+        # Settled by level-0 propagation: no clause needs a watch list.
+        f = parse(" && ".join(f"a{i}" for i in range(200)))
+        clauses, _, num_vars, size = _clausify(f)
+        assert clauses == [[var] for var in range(1, 201)]
+        assert num_vars == 200
+        assert size == 1 + 3 * 199
+        out = sat_boolean(Logic.MSCL, f)
+        assert out.witness == tuple((f"a{i}", True) for i in range(200))
+
+    @pytest.mark.parametrize("kinds", [("&&",), ("||",), ("&&", "||"), ("||", "!&&"), ("!||", "&&")])
+    def test_shared_dags_stay_linear(self, kinds):
+        # Expanding the sharing doubles the work per level; climbing in steps
+        # makes such an encoder fail on the time bound at depth 20, not hang.
+        for depth in range(10, 61, 10):
+            f = shared_dag(kinds, depth)
+            start = time.process_time()
+            clauses, _, _, size = _clausify(f)
+            assert time.process_time() - start < 1.0
+            assert size == 1 + 3 * (depth + 1)
+            if clauses is not None:
+                assert len(clauses) <= 4 * (depth + 1)
+                assert sum(map(len, clauses)) <= 9 * (depth + 1)
+            assert_matches_tseitin(f)
