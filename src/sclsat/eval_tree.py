@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, TypeVar, Union
 
-from .formula_core import Con, Const, Dis, Formula, Lit, Neg, is_valid_atom
+from .formula_core import Con, Const, Dis, Formula, Lit, Neg, _scan, is_valid_atom
 
 
 @dataclass(frozen=True)
@@ -206,18 +206,9 @@ class TreeParseError(ValueError):
 
 def parse_tree(text: str) -> EvalTree:
     """Inverse of render_tree."""
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        match = _TREE_TOKEN_RE.match(text, pos)
-        if match is None:
-            if not text[pos:].strip():
-                break
-            raise TreeParseError(f"unexpected input at position {pos}")
-        kind = match.lastgroup
-        assert kind is not None
-        tokens.append((kind, match.group(kind)))
-        pos = match.end()
+    tokens, stop = _scan(_TREE_TOKEN_RE, text)
+    if stop is not None:
+        raise TreeParseError(f"unexpected input at position {stop}")
 
     # Grammar: tree := operand ('<' atom '>' operand)?, operand := '(' tree ')'
     # | 'T' | 'F'.  One frame per open parenthesis (the outermost for the
@@ -228,7 +219,7 @@ def parse_tree(text: str) -> EvalTree:
     while True:
         if index >= len(tokens):
             raise TreeParseError("unexpected end of input")
-        kind, value = tokens[index]
+        kind, value, _ = tokens[index]
         index += 1
         if kind == "lpar":
             frames.append(None)

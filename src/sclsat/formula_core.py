@@ -8,13 +8,14 @@ to the two-constructor core (F = !T, x || y = !(!x && !y)).
 
 Every walk over a formula is a fold over ``postorder(f)``, which yields each
 distinct node once, keyed by identity, children before their parent and the
-left operand first.  A fold keeps one value per node in a dict keyed by
-``id(node)``, so shared subterms are computed once and deep formulas need no
-recursion.  The solvers' flag pass, the boolean encoder's atom numbering
-and gates, and the axiom instantiation are folds of the same kind; the
-gates are defined by walks that share one set of entered nodes, so each node
-is defined once.  ``parse`` and ``render`` keep
-explicit stacks of their own, because text is read and written top-down.
+left operand first; it raises TypeError on a node that is not a formula.  A
+fold keeps one value per node in a dict keyed by ``id(node)``, so shared
+subterms are computed once and deep formulas need no recursion.  The
+solvers' flag pass, the boolean encoder's atom numbering and gates, and the
+axiom instantiation are folds of the same kind; the gates are defined by
+walks that share one set of entered nodes, so each node is defined once.
+The functions ``parse`` and ``render`` keep explicit stacks of their own,
+because text is read and written top-down; ``_scan`` splits the text.
 """
 
 from __future__ import annotations
@@ -80,25 +81,32 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _scan(pattern: re.Pattern[str], text: str) -> tuple[list[tuple[str, str, int]], Optional[int]]:
+    """The (group name, text, position) tokens pattern matches one after
+    another from the start of text, and the position where matching stopped
+    with non-whitespace text left (None if none was left)."""
     tokens = []
     pos = 0
     while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
+        match = pattern.match(text, pos)
         if match is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
+            return tokens, pos if text[pos:].strip() else None
         kind = match.lastgroup
-        assert kind is not None
         tokens.append((kind, match.group(kind), match.start(kind)))
         pos = match.end()
+    return tokens, None
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens, stop = _scan(_TOKEN_RE, text)
+    if stop is not None:
+        rest = text[stop:].lstrip()
+        raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
     return tokens
 
 
-class _Parser:
-    """Parser for the grammar
+def parse(text: str) -> Formula:
+    """Parse text by the grammar
 
         formula := dis
         dis     := con ('||' con)*
@@ -112,71 +120,57 @@ class _Parser:
     input) holds the disjunction and the conjunction built so far and the
     number of '!' before its '(', so nesting depth costs no recursion.
     """
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    def _peek(self) -> tuple[str, str, int] | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return None
-
-    def parse(self) -> Formula:
-        # Each group is [disjunction so far, conjunction so far, negations
-        # before its '(']; None means no operand yet.
-        groups: list[list] = [[None, None, 0]]
-        negations = 0
+    tokens = _tokenize(text)
+    count = len(tokens)
+    index = 0
+    # Each group is [disjunction so far, conjunction so far, negations
+    # before its '(']; None means no operand yet.
+    groups: list[list] = [[None, None, 0]]
+    negations = 0
+    while True:
+        if index == count:
+            raise ParseError("unexpected end of input", len(text))
+        kind, value, pos = tokens[index]
+        index += 1
+        if kind == "not":
+            negations += 1
+            continue
+        if kind == "lpar":
+            groups.append([None, None, negations])
+            negations = 0
+            continue
+        if kind != "word":
+            raise ParseError(f"unexpected token {value!r}", pos)
+        operand: Formula = TRUE if value == "T" else FALSE if value == "F" else Lit(value)
+        # Fold the finished unary into its group; a closing parenthesis
+        # finishes the group as a unary of the enclosing one.
         while True:
-            token = self._peek()
-            if token is None:
-                raise ParseError("unexpected end of input", len(self.text))
-            kind, value, pos = token
-            self.index += 1
-            if kind == "not":
-                negations += 1
-                continue
-            if kind == "lpar":
-                groups.append([None, None, negations])
+            for _ in range(negations):
+                operand = Neg(operand)
+            group = groups[-1]
+            group[1] = operand if group[1] is None else Con(group[1], operand)
+            token = tokens[index] if index < count else None
+            if token is not None and token[0] == "and":
+                index += 1
                 negations = 0
-                continue
-            if kind != "word":
-                raise ParseError(f"unexpected token {value!r}", pos)
-            operand: Formula = TRUE if value == "T" else FALSE if value == "F" else Lit(value)
-            # Fold the finished unary into its group; a closing parenthesis
-            # finishes the group as a unary of the enclosing one.
-            while True:
-                for _ in range(negations):
-                    operand = Neg(operand)
-                group = groups[-1]
-                group[1] = operand if group[1] is None else Con(group[1], operand)
-                token = self._peek()
-                if token is not None and token[0] == "and":
-                    self.index += 1
-                    negations = 0
-                    break
-                group[0] = group[1] if group[0] is None else Dis(group[0], group[1])
-                group[1] = None
-                if token is not None and token[0] == "or":
-                    self.index += 1
-                    negations = 0
-                    break
-                if len(groups) == 1:
-                    if token is not None:
-                        raise ParseError(f"unexpected trailing input {token[1]!r}", token[2])
-                    return group[0]
-                if token is None:
-                    raise ParseError("unexpected end of input, expected rpar", len(self.text))
-                if token[0] != "rpar":
-                    raise ParseError(f"expected rpar, found {token[1]!r}", token[2])
-                self.index += 1
-                groups.pop()
-                operand, negations = group[0], group[2]
-
-
-def parse(text: str) -> Formula:
-    return _Parser(text).parse()
+                break
+            group[0] = group[1] if group[0] is None else Dis(group[0], group[1])
+            group[1] = None
+            if token is not None and token[0] == "or":
+                index += 1
+                negations = 0
+                break
+            if len(groups) == 1:
+                if token is not None:
+                    raise ParseError(f"unexpected trailing input {token[1]!r}", token[2])
+                return group[0]
+            if token is None:
+                raise ParseError("unexpected end of input, expected rpar", len(text))
+            if token[0] != "rpar":
+                raise ParseError(f"expected rpar, found {token[1]!r}", token[2])
+            index += 1
+            groups.pop()
+            operand, negations = group[0], group[2]
 
 
 def postorder(f: Formula, entered: Optional[set[int]] = None) -> Iterator[Formula]:
@@ -185,7 +179,7 @@ def postorder(f: Formula, entered: Optional[set[int]] = None) -> Iterator[Formul
     deep formulas, and a subterm shared by several parents is visited once.
     entered holds the ids of nodes already visited, and gains each node
     visited; walks that share it, each run to its end, visit a node once
-    between them."""
+    between them.  Raises TypeError on a node that is not a formula."""
     if entered is None:
         entered = set()
     # (node, True) once the node's children have been pushed.
@@ -196,7 +190,9 @@ def postorder(f: Formula, entered: Optional[set[int]] = None) -> Iterator[Formul
             yield node
         elif id(node) not in entered:
             entered.add(id(node))
-            if isinstance(node, Neg):
+            if isinstance(node, (Const, Lit)):
+                yield node
+            elif isinstance(node, Neg):
                 stack.append((node, True))
                 stack.append((node.inner, False))
             elif isinstance(node, (Con, Dis)):
@@ -204,7 +200,7 @@ def postorder(f: Formula, entered: Optional[set[int]] = None) -> Iterator[Formul
                 stack.append((node.right, False))
                 stack.append((node.left, False))
             else:
-                yield node
+                raise TypeError(f"not a formula: {node!r}")
 
 
 # Precedence levels used for minimal parenthesisation.
@@ -257,10 +253,8 @@ def expand_abbreviations(f: Formula) -> Formula:
             new = Neg(out[id(node.inner)])
         elif isinstance(node, Con):
             new = Con(out[id(node.left)], out[id(node.right)])
-        elif isinstance(node, Dis):
-            new = Neg(Con(Neg(out[id(node.left)]), Neg(out[id(node.right)])))
         else:
-            raise TypeError(f"not a formula: {node!r}")
+            new = Neg(Con(Neg(out[id(node.left)]), Neg(out[id(node.right)])))
         out[id(node)] = new
     return out[id(f)]
 
@@ -279,10 +273,8 @@ def complexity(f: Formula) -> int:
             value = 1 + cx[id(node.inner)]
         elif isinstance(node, Con):
             value = 1 + max(cx[id(node.left)], cx[id(node.right)])
-        elif isinstance(node, Dis):
-            value = 3 + max(cx[id(node.left)], cx[id(node.right)])
         else:
-            raise TypeError(f"not a formula: {node!r}")
+            value = 3 + max(cx[id(node.left)], cx[id(node.right)])
         cx[id(node)] = value
     return cx[id(f)]
 
@@ -328,14 +320,11 @@ def enumerate_formulas(alphabet: list[str], max_nodes: int) -> Iterator[Formula]
     by_size.append([TRUE, FALSE] + [Lit(a) for a in alphabet])
     for size in range(2, max_nodes + 1):
         bucket: list[Formula] = [Neg(f) for f in by_size[size - 1]]
-        for left_size in range(1, size - 1):
-            for left in by_size[left_size]:
-                for right in by_size[size - 1 - left_size]:
-                    bucket.append(Con(left, right))
-        for left_size in range(1, size - 1):
-            for left in by_size[left_size]:
-                for right in by_size[size - 1 - left_size]:
-                    bucket.append(Dis(left, right))
+        for connective in (Con, Dis):
+            for left_size in range(1, size - 1):
+                for left in by_size[left_size]:
+                    for right in by_size[size - 1 - left_size]:
+                        bucket.append(connective(left, right))
         by_size.append(bucket)
     for size in range(1, max_nodes + 1):
         yield from by_size[size]

@@ -107,21 +107,23 @@ class PathParseError(ValueError):
     pass
 
 
-_PATH_ENTRY_RE = re.compile(r"\(\s*([A-Za-z_][A-Za-z0-9_]*)\s*,\s*([TF])\s*\)")
+# One entry and the comma after it, if any, each with the whitespace after it.
+_PATH_ENTRY_RE = re.compile(r"\(\s*([A-Za-z_][A-Za-z0-9_]*)\s*,\s*([TF])\s*\)\s*(?:(,)\s*)?")
 
 
 def parse_path(text: str) -> ValuationPath:
-    """Inverse of render_path."""
+    """Inverse of render_path.  Error positions count from the start of text."""
     stripped = text.strip()
     if not (stripped.startswith("[") and stripped.endswith("]")):
         raise PathParseError("path must be enclosed in [ ]")
-    body = stripped[1:-1].strip()
-    if not body:
+    start, stop = text.index("["), text.rindex("]")
+    rest = text[start + 1:stop].lstrip()
+    if not rest:
         return EMPTY_PATH
     entries: list[PathEntry] = []
-    pos = 0
-    while pos < len(body):
-        match = _PATH_ENTRY_RE.match(body, pos)
+    pos = stop - len(rest)
+    while True:
+        match = _PATH_ENTRY_RE.match(text, pos, stop)
         if match is None:
             raise PathParseError(f"malformed path entry at position {pos}")
         atom = match.group(1)
@@ -129,12 +131,7 @@ def parse_path(text: str) -> ValuationPath:
             raise PathParseError(f"invalid atom {atom!r}")
         entries.append((atom, match.group(2) == "T"))
         pos = match.end()
-        while pos < len(body) and body[pos].isspace():
-            pos += 1
-        if pos < len(body):
-            if body[pos] != ",":
+        if match.group(3) is None:
+            if pos < stop:
                 raise PathParseError(f"expected ',' at position {pos}")
-            pos += 1
-            while pos < len(body) and body[pos].isspace():
-                pos += 1
-    return tuple(entries)
+            return tuple(entries)

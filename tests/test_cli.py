@@ -170,9 +170,10 @@ class TestNormalize:
         ["tree", "(a"],
         ["verify", "a @ b", "[(a,T)]"],
         ["verify", "a", "[(a,T)"],
+        ["verify", "a", "[(a,T),]"],
         ["normalize", "!"],
     ],
-    ids=["sat", "tree", "verify", "verify_path", "normalize"],
+    ids=["sat", "tree", "verify", "verify_path", "verify_path_dangling_comma", "normalize"],
 )
 def test_parse_errors_exit_65(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -23,6 +23,8 @@ from sclsat.formula_core import (
     render,
 )
 from sclsat import formula_core
+from sclsat.eval_tree import se
+from sclsat.normal_form import normalize
 
 
 def formulas(atoms=("a", "b", "c"), max_leaves=8):
@@ -179,6 +181,21 @@ class TestStructuralHelpers:
             f = Con(Lit(f"x{i}"), f)
         assert node_count(f) == 59999
         assert atom_occurrences(f) == 30000
+
+
+NOT_FORMULAS = [42, Con(Lit("a"), 42)]
+
+
+@pytest.mark.parametrize("node", NOT_FORMULAS, ids=["int", "int_operand"])
+@pytest.mark.parametrize(
+    "function",
+    [node_count, atom_occurrences, atoms_of, is_constant_free, complexity,
+     expand_abbreviations, render, se, normalize],
+    ids=lambda function: function.__name__,
+)
+def test_non_formula_raises_type_error(function, node):
+    with pytest.raises(TypeError, match="not a formula: 42"):
+        function(node)
 
 
 # --- oracles: the recursive and hand-stacked walkers and the recursive-descent

@@ -130,3 +130,16 @@ class TestPathText:
         for bad in ["", "(a,T)", "[(a,X)]", "[(a,T)(b,F)]", "[(T,T)]"]:
             with pytest.raises(PathParseError):
                 parse_path(bad)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[ (a,T),x]", "malformed path entry at position 8"),
+            ("[(a,T) ;(b,F)]", "expected ',' at position 7"),
+            ("[(a,T),]", "malformed path entry at position 7"),
+        ],
+    )
+    def test_error_positions_count_from_start_of_input(self, text, message):
+        with pytest.raises(PathParseError) as excinfo:
+            parse_path(text)
+        assert str(excinfo.value) == message

@@ -34,7 +34,7 @@ from sclsat.sat_solvers import (
 )
 from sclsat.formula_core import enumerate_formulas, is_constant_free
 
-from test_formula_core import formulas
+from test_formula_core import NOT_FORMULAS, formulas
 
 ALL_LOGICS = list(Logic)
 SMALL_SUITE = list(enumerate_formulas(["a", "b"], 5))
@@ -179,6 +179,14 @@ class TestDispatch:
         out = solve(Logic.SSCL, parse("a && !a"))
         assert out.witness is None
         assert json.loads(out.to_json())["witness"] is None
+
+    @pytest.mark.parametrize("strategy", ["auto", *sat_solvers._STRATEGIES])
+    @pytest.mark.parametrize("logic", ALL_LOGICS, ids=lambda logic: logic.value)
+    def test_non_formula_raises_type_error(self, logic, strategy):
+        for node in NOT_FORMULAS:
+            for decide in (solve, falsify):
+                with pytest.raises(TypeError, match="not a formula: 42"):
+                    decide(logic, node, strategy)
 
 
 # --- oracles: the hand-stacked flag pass and Tseitin encoding that the folds
