@@ -2,7 +2,7 @@
 """Cross-check all satisfiability solvers over an exhaustive formula suite.
 
 Runs every solver on every formula over a small alphabet, reports per-solver
-timing, answer counts, and any disagreement with the brute-force oracle.
+CPU time, answer counts, and any disagreement with the brute-force oracle.
 
     python3 scripts/compare_solvers.py --atoms a b --max-nodes 6
 """
@@ -44,7 +44,7 @@ def main() -> int:
         oracle = {}
         print(f"\n{logic.value}:")
         for name, solver in SOLVERS.items():
-            start = time.time()
+            start = time.process_time()
             answers = Counter()
             for f in suite:
                 out = solver(logic, f)
@@ -54,7 +54,7 @@ def main() -> int:
                 elif out.answer != "unknown" and out.answer != oracle[f]:
                     disagreements += 1
                     print(f"  DISAGREES on {render(f)}: {name} says {out.answer}")
-            elapsed = time.time() - start
+            elapsed = time.process_time() - start
             summary = ", ".join(f"{k}={v}" for k, v in sorted(answers.items()))
             print(f"  {name:>13}: {summary}  ({elapsed:.2f}s)")
 

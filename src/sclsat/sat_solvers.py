@@ -23,13 +23,16 @@ Five testers are provided:
                        as plain clauses and Tseitin gates only beneath it
 
 ``solve`` dispatches by strategy, routes "auto" to the decision procedure for
-the requested logic, and verifies every witness before returning it.
+the requested logic, and verifies every witness before returning it.  It
+reuses its last verified outcome, kept in one slot keyed by the formula's
+identity, for the sibling logic of the same formula object; ``falsify``, which
+negates f afresh each call, and the ``sat_*`` testers never reuse one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
 
@@ -685,13 +688,34 @@ def _auto_solver(logic: Logic) -> Callable[[Logic, Formula], SatOutcome]:
     return sat_boolean
 
 
+# The last outcome solve returned, as one (formula, discipline, strategy,
+# outcome) tuple.  It is replaced whole and never mutated, so a concurrent
+# caller reads either the old tuple or the new one.
+_last: Optional[tuple[Formula, PathDiscipline, str, SatOutcome]] = None
+
+
 def solve(logic: Logic, f: Formula, strategy: str = "auto") -> SatOutcome:
     """Dispatch to a solver.  "auto" routes each logic to its decision
     procedure (FSCL -> direct, RPSCL/CSCL -> open, MSCL/SSCL -> boolean),
     each exact on that logic, so it never answers Unknown; an Unknown from
     one of them is a bug and raises RuntimeError.  Every Yes is re-verified
     against the evaluation tree and the logic's path discipline before being
-    returned."""
+    returned.
+
+    Every solver's outcome depends on the logic only through its path
+    discipline, apart from the ``logic`` field, so solve keeps its last
+    verified outcome in one slot: called again with the same formula object
+    (``is``, never ``==`` or ``hash``), the same discipline and the same
+    strategy, it returns that outcome with ``logic`` replaced and runs no
+    solver.  Deciding one formula in all five logics thus runs each decision
+    procedure once.  A call that raises stores nothing, and the slot keeps
+    the last formula alive until the next call."""
+    global _last
+    discipline = logic.discipline
+    last = _last
+    if last is not None and last[0] is f and last[1] is discipline and last[2] == strategy:
+        outcome = last[3]
+        return outcome if outcome.logic is logic else replace(outcome, logic=logic)
     if strategy == "auto":
         outcome = _auto_solver(logic)(logic, f)
         if outcome.answer == "unknown":
@@ -712,10 +736,12 @@ def solve(logic: Logic, f: Formula, strategy: str = "auto") -> SatOutcome:
                 f"solver {outcome.solver!r} produced an invalid witness for "
                 f"{logic.value}: {outcome.witness!r}"
             )
+    _last = (f, discipline, strategy, outcome)
     return outcome
 
 
 def falsify(logic: Logic, f: Formula, strategy: str = "auto") -> SatOutcome:
     """Falsifiability as satisfiability of the negation; a Yes witness traces
-    se(f) to a false leaf."""
+    se(f) to a false leaf.  Each call negates f afresh, so it never reuses
+    the outcome solve kept from an earlier call."""
     return solve(logic, Neg(f), strategy)

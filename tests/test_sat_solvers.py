@@ -3,7 +3,10 @@ import hashlib
 import itertools
 import json
 import random
+import sys
+import threading
 import time
+from dataclasses import replace
 from typing import Optional
 
 import pytest
@@ -391,6 +394,147 @@ def test_auto_unknown_raises(monkeypatch):
     monkeypatch.setattr(sat_solvers, "_auto_solver", lambda logic: sat_direct)
     with pytest.raises(RuntimeError, match="unknown"):
         solve(Logic.MSCL, parse("a && !a"))
+
+
+# --- solve's one-slot reuse of its last verified outcome ---
+
+SIBLINGS = [(Logic.RPSCL, Logic.CSCL), (Logic.MSCL, Logic.SSCL)]
+
+
+@pytest.mark.parametrize("strategy", list(sat_solvers._STRATEGIES))
+def test_sibling_logics_pose_one_problem(strategy):
+    # The premise behind the reuse: called directly, every solver answers a
+    # logic and its sibling alike, apart from the logic field.
+    solver = sat_solvers._STRATEGIES[strategy]
+    for f in enumerate_formulas(["a", "b"], 6):
+        for first, sibling in SIBLINGS:
+            assert solver(sibling, f) == replace(solver(first, f), logic=sibling)
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    calls = []
+
+    def spy(name):
+        solver = getattr(sat_solvers, name)
+
+        def counted(logic, f):
+            calls.append((name, logic, f))
+            return solver(logic, f)
+        return counted
+
+    for name in ("sat_direct", "sat_open", "sat_boolean"):
+        counted = spy(name)
+        monkeypatch.setattr(sat_solvers, name, counted)
+        monkeypatch.setitem(sat_solvers._STRATEGIES, name[len("sat_"):], counted)
+    return calls
+
+
+class TestReuse:
+    def test_each_procedure_runs_once_over_all_logics(self, solver_calls):
+        f = parse("(a || b) && !a && (b || !b)")
+        outcomes = {logic: solve(logic, f) for logic in ALL_LOGICS}
+        assert [name for name, _, _ in solver_calls] == ["sat_direct", "sat_open", "sat_boolean"]
+        for first, sibling in SIBLINGS:
+            assert outcomes[sibling] == replace(outcomes[first], logic=sibling)
+            assert outcomes[sibling].logic is sibling
+
+    def test_same_logic_again_returns_the_outcome(self, solver_calls):
+        f = parse("a || b")
+        out = solve(Logic.MSCL, f)
+        assert solve(Logic.MSCL, f) is out
+        assert len(solver_calls) == 1
+
+    def test_equal_but_separate_formula_runs_again(self, solver_calls):
+        first = solve(Logic.RPSCL, parse("(a || b) && !a"))
+        again = solve(Logic.CSCL, parse("(a || b) && !a"))
+        assert len(solver_calls) == 2
+        assert again == replace(first, logic=Logic.CSCL)
+
+    def test_other_strategy_runs_again(self, solver_calls):
+        f = parse("(a || b) && !a")
+        auto = solve(Logic.RPSCL, f)
+        explicit = solve(Logic.CSCL, f, "open")
+        assert len(solver_calls) == 2
+        assert explicit == replace(auto, logic=Logic.CSCL)
+
+    def test_unknown_under_explicit_strategy_is_not_reused_by_auto(self, solver_calls):
+        f = parse("a && !a")
+        assert solve(Logic.MSCL, f, "direct").answer == "unknown"
+        assert solve(Logic.SSCL, f).answer == "no"
+        assert [name for name, _, _ in solver_calls] == ["sat_direct", "sat_boolean"]
+
+    def test_only_the_last_formula_is_kept(self, solver_calls):
+        a, b = parse("a && b"), parse("a || b")
+        for f in (a, b, a):
+            solve(Logic.RPSCL, f)
+            solve(Logic.CSCL, f)
+        assert len(solver_calls) == 3
+        assert all(f is g for (_, _, f), g in zip(solver_calls, (a, b, a)))
+
+    def test_chain_decided_in_every_logic_without_hashing(self, solver_calls):
+        # Criterion 10's chain.  The dataclass hash recurses once per level
+        # and cannot take it, so these calls show the slot never hashes f.
+        f = Lit("x0")
+        for i in range(1, 5000):
+            f = Con(Lit(f"x{i}"), f)
+        f = Neg(f)
+        outcomes = [solve(logic, f) for logic in ALL_LOGICS]
+        assert all(out.answer == "yes" for out in outcomes)
+        assert len(solver_calls) == 3
+
+    def test_concurrent_callers_see_their_own_outcomes(self):
+        texts = ("a && !a", "(a || b) && !a", "a || b", "!a && (a || b)", "b && (a || !b)")
+        formulas = [parse(text) for text in texts]
+        expected = {
+            (id(f), logic): sat_solvers._auto_solver(logic)(logic, f)
+            for f in formulas for logic in ALL_LOGICS
+        }
+        mismatches = []
+
+        def work(shift):
+            order = formulas[shift:] + formulas[:shift]
+            for _ in range(100):
+                for f in order:
+                    for logic in ALL_LOGICS:
+                        if solve(logic, f) != expected[(id(f), logic)]:
+                            mismatches.append((f, logic))
+
+        threads = [threading.Thread(target=work, args=(shift,)) for shift in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not mismatches
+
+
+def _bad_witness(logic, f):
+    return SatOutcome("yes", (("zz", True),), logic, "open")
+
+
+class TestFailuresNotReused:
+    def test_bad_witness_raises_on_both_siblings_then_solves_afresh(self, monkeypatch):
+        f = parse("(a || b) && !a")
+        with monkeypatch.context() as patch:
+            patch.setattr(sat_solvers, "sat_open", _bad_witness)
+            for logic in (Logic.RPSCL, Logic.CSCL):
+                with pytest.raises(RuntimeError, match="invalid witness"):
+                    solve(logic, f)
+        for logic in (Logic.RPSCL, Logic.CSCL):
+            assert solve(logic, f) == sat_open(logic, f)
+
+    def test_auto_unknown_raises_on_both_siblings(self, monkeypatch):
+        monkeypatch.setattr(sat_solvers, "_auto_solver", lambda logic: sat_direct)
+        f = parse("a && !a")
+        for logic in (Logic.MSCL, Logic.SSCL):
+            with pytest.raises(RuntimeError, match="unknown"):
+                solve(logic, f)
 
 
 # --- oracle: the full Tseitin encoding that _clausify replaced ---
