@@ -12,22 +12,10 @@ import time
 from collections import Counter
 
 from sclsat.formula_core import enumerate_formulas, render
-from sclsat.sat_solvers import (
-    Logic,
-    sat_boolean,
-    sat_brute_control,
-    sat_brute_force,
-    sat_direct,
-    sat_open,
-)
+from sclsat.sat_solvers import _STRATEGIES, Logic
 
-SOLVERS = {
-    "brute-control": sat_brute_control,
-    "brute-force": sat_brute_force,
-    "direct": sat_direct,
-    "open": sat_open,
-    "boolean": sat_boolean,
-}
+# Every solve strategy but auto, brute-control (the oracle) first.
+SOLVERS = _STRATEGIES
 
 
 def main() -> int:

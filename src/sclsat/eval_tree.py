@@ -11,16 +11,17 @@ sat_solvers.sat_open guards and normal_form closed terms.
 
 Trees are immutable and may share subtrees.  se(f) returns a shared DAG, equal
 under ``==`` to the tree, with O(|f|) distinct nodes where the tree itself can
-have exponentially many leaves.  substitute, depth and leaf_profile work over
-the distinct nodes, keyed by identity, and keep that sharing; render_tree and
-export_dot print the full tree.
+have exponentially many leaves.  substitute, depth and leaf_profile run on
+_fold, which visits each distinct node once, keyed by identity, and keeps that
+sharing; render_tree, export_dot and paths.enumerate_paths loop over walk,
+which goes through the full tree, a shared subtree once per occurrence.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, TypeVar, Union
+from typing import Callable, Iterator, TypeVar, Union
 
 from .formula_core import Con, Const, Dis, Formula, Lit, Neg, _scan, is_valid_atom
 
@@ -151,6 +152,18 @@ def _fold(t: EvalTree, leaf: Callable[[Leaf], V], branch: Callable[[Branch, V, V
     return values[id(t)]
 
 
+def walk(t: EvalTree) -> Iterator[tuple[EvalTree, int]]:
+    """Depth-first walk of the full tree t, true branch first, on an explicit
+    stack: yields (leaf, 0) at a leaf and (branch, 0), (branch, 1), (branch, 2)
+    before, between and after a branch's subtrees, shared ones at each occurrence."""
+    stack: list[tuple[EvalTree, int]] = [(t, 0)]
+    while stack:
+        node, step = event = stack.pop()
+        yield event
+        if step == 0 and isinstance(node, Branch):
+            stack += ((node, 2), (node.right, 0), (node, 1), (node.left, 0))
+
+
 def depth(t: EvalTree) -> int:
     return _fold(t, lambda leaf: 0, lambda node, left, right: 1 + max(left, right))
 
@@ -174,26 +187,14 @@ def is_open(t: EvalTree) -> bool:
 
 def render_tree(t: EvalTree) -> str:
     """Fully parenthesised infix form, e.g. ``(F < b > T) < a > F``."""
-    # The stack holds text still to emit and subtrees still to expand, in
-    # reverse order; an explicit stack copes with deep trees.
     parts: list[str] = []
-    # One separator string per atom rather than one per branch printed.
-    separators: dict[str, str] = {}
-    stack: list[EvalTree | str] = [t]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-        elif isinstance(item, Leaf):
-            parts.append("T" if item.value else "F")
-        else:
-            separator = separators.get(item.atom)
-            if separator is None:
-                separator = separators[item.atom] = f" < {item.atom} > "
-            right, left = item.right, item.left
-            stack.extend((")", right, "(") if isinstance(right, Branch) else (right,))
-            stack.append(separator)
-            stack.extend((")", left, "(") if isinstance(left, Branch) else (left,))
+    for node, step in walk(t):
+        if step == 1:
+            parts.append(f" < {node.atom} > ")
+        elif isinstance(node, Leaf):
+            parts.append("T" if node.value else "F")
+        elif node is not t:
+            parts.append("(" if step == 0 else ")")
     return "".join(parts)
 
 
@@ -265,26 +266,22 @@ def export_dot(t: EvalTree) -> str:
     pre-order, each branch's edges following both of its subtrees."""
     lines = ["digraph evaltree {"]
     counter = 0
-    # A work item is (node, ids of its parent's children) to number and
-    # print a node, or (node id, its children's ids) to print its edges.
-    stack: list[tuple[EvalTree | int, list[int]]] = [(t, [])]
-    while stack:
-        item, ids = stack.pop()
-        if isinstance(item, int):
-            lines.append(f'  n{item} -> n{ids[0]} [label="T"];')
-            lines.append(f'  n{item} -> n{ids[1]} [label="F"];')
-            continue
-        node_id = counter
-        counter += 1
-        ids.append(node_id)
-        if isinstance(item, Leaf):
-            label = "T" if item.value else "F"
-            lines.append(f'  n{node_id} [shape=box, label="{label}"];')
+    # Each open branch's id, then its right child's; its left child's is id + 1.
+    ids: list[int] = []
+    for node, step in walk(t):
+        if step == 0:
+            if isinstance(node, Leaf):
+                label = "T" if node.value else "F"
+                lines.append(f'  n{counter} [shape=box, label="{label}"];')
+            else:
+                lines.append(f'  n{counter} [shape=ellipse, label="{node.atom}"];')
+                ids.append(counter)
+            counter += 1
+        elif step == 1:
+            ids.append(counter)
         else:
-            lines.append(f'  n{node_id} [shape=ellipse, label="{item.atom}"];')
-            children: list[int] = []
-            stack.append((node_id, children))
-            stack.append((item.right, children))
-            stack.append((item.left, children))
+            right, node_id = ids.pop(), ids.pop()
+            lines.append(f'  n{node_id} -> n{node_id + 1} [label="T"];')
+            lines.append(f'  n{node_id} -> n{right} [label="F"];')
     lines.append("}")
     return "\n".join(lines)

@@ -13,7 +13,7 @@ import re
 from enum import Enum
 from typing import Iterator, Optional
 
-from .eval_tree import Branch, EvalTree, Leaf
+from .eval_tree import Branch, EvalTree, Leaf, walk
 from .formula_core import is_valid_atom
 
 PathEntry = tuple[str, bool]
@@ -87,14 +87,16 @@ def norm(kind: str, p: ValuationPath) -> int:
 
 def enumerate_paths(t: EvalTree) -> Iterator[tuple[ValuationPath, bool]]:
     """All root-to-leaf traces of t with their leaf values, true branch first."""
-    stack: list[tuple[EvalTree, tuple[PathEntry, ...]]] = [(t, ())]
-    while stack:
-        node, prefix = stack.pop()
+    prefix: list[PathEntry] = []
+    for node, step in walk(t):
         if isinstance(node, Leaf):
-            yield prefix, node.value
+            yield tuple(prefix), node.value
+        elif step == 0:
+            prefix.append((node.atom, True))
+        elif step == 1:
+            prefix[-1] = (node.atom, False)
         else:
-            stack.append((node.right, prefix + ((node.atom, False),)))
-            stack.append((node.left, prefix + ((node.atom, True),)))
+            prefix.pop()
 
 
 def render_path(p: ValuationPath) -> str:

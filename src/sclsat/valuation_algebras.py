@@ -14,9 +14,9 @@ Algebra classes form a chain, each including the previous one:
     static           memorizing and a/(b.H) = a/H
 
 The norm-based constructors turn valuation paths into algebras: ``build_va``
-yields a repetition-proof path algebra whose evaluation replays the path,
-``build_cva`` contracts the path first (contractive output), and ``build_sva``
-collapses a memorizing path into a single-state static algebra.
+yields a path algebra that replays the path, repetition-proof exactly when the
+path is; ``build_cva`` contracts the path first (contractive output), and
+``build_sva`` collapses a memorizing path into a single-state static algebra.
 """
 
 from __future__ import annotations
@@ -266,8 +266,9 @@ def build_va(p: ValuationPath, alphabet: Sequence[str] | None = None) -> FiniteA
     """The path algebra of p: states 1..n+1, state i meaning the first i-1
     entries were consumed.  Consuming entry i advances the state; any other
     atom leaves it unchanged and yields its most recent value on the consumed
-    prefix (false if it never occurred).  Always repetition-proof, and the
-    evaluation path of any formula that walks p from state 1 is p itself.
+    prefix (false if it never occurred).  Repetition-proof exactly when p is
+    (a flip of a at entries j, j+1 breaks a/(a.H) = a/H at state j+1), and
+    the evaluation path of any formula that walks p from state 1 is p itself.
 
     One forward sweep over p fills the tables: the entry at position j (from
     0) sets its atom's yield from state j+1 up to the atom's next occurrence

@@ -11,7 +11,9 @@ import sclsat
 from sclsat import cli
 from sclsat.axiom_suite import SYSTEMS
 from sclsat.cli import EXIT_NO, EXIT_PARSE, EXIT_UNKNOWN, EXIT_USAGE, EXIT_YES, build_parser, main
-from sclsat.valuation_algebras import FiniteAlgebra, class_check
+from sclsat.formula_core import parse
+from sclsat.paths import parse_path
+from sclsat.valuation_algebras import FiniteAlgebra, build_cva, class_check, evaluation_path
 
 
 def run(capsys, *argv):
@@ -350,3 +352,45 @@ def test_module_entry_point_in_fresh_interpreter():
     )
     assert proc.returncode == EXIT_YES, proc.stderr
     assert "answer: yes" in proc.stdout
+
+
+# --- witness algebras and the verify round trip -------------------------------
+
+@pytest.mark.parametrize(
+    "argv, witness, kind",
+    [
+        (["--logic", "rpscl", "a && b && !a"], "[(a,T),(b,T),(a,F)]", "cva"),
+        (["a && !a"], "[(a,T),(a,F)]", "va"),
+    ],
+    ids=["cva", "va"],
+)
+def test_witness_algebra_constructors(capsys, argv, witness, kind):
+    code, out, _ = run(capsys, "sat", "--witness-algebra", *argv)
+    assert code == EXIT_YES
+    lines = out.splitlines()
+    assert f"witness: {witness}" in lines
+    [algebra_line] = [line for line in lines if line.startswith("witness algebra")]
+    prefix = f"witness algebra ({kind}): "
+    assert algebra_line.startswith(prefix)
+    algebra = FiniteAlgebra.from_json(algebra_line[len(prefix):])
+    if kind == "cva":
+        assert class_check(algebra).contractive
+    assert evaluation_path(algebra, parse(argv[-1]), 1) == parse_path(witness)
+
+
+@pytest.mark.parametrize(
+    "formula, path, cva_calls",
+    [("a && !b", "[(a,T),(b,F)]", 0), ("a && a", "[(a,T),(a,T)]", 1)],
+)
+def test_verify_builds_cva_only_for_a_contractible_path(capsys, monkeypatch, formula, path, cva_calls):
+    calls = []
+
+    def spy(p, *args):
+        calls.append(p)
+        return build_cva(p, *args)
+
+    monkeypatch.setattr(cli, "build_cva", spy)
+    code, out, err = run(capsys, "verify", formula, path)
+    assert (code, out, err) == (
+        EXIT_YES, "result: T\ndiscipline (free): ok\npath-algebra round-trip: ok\n", "")
+    assert len(calls) == cva_calls

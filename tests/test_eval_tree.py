@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from sclsat.eval_tree import (
     _TREE_TOKEN_RE,
     Branch,
+    EvalTree,
     FALSE_LEAF,
     Leaf,
     LeafProfile,
@@ -18,6 +19,7 @@ from sclsat.eval_tree import (
     render_tree,
     se,
     substitute,
+    walk,
 )
 from sclsat.formula_core import (
     Con,
@@ -31,6 +33,7 @@ from sclsat.formula_core import (
     node_count,
     parse,
 )
+from sclsat.paths import PathEntry, enumerate_paths
 
 from test_cli import run
 from test_formula_core import formulas
@@ -333,3 +336,147 @@ class TestDot:
         dot = export_dot(se(_deep_chain()))
         assert dot.count("shape=ellipse") == 20000
         assert dot.count("shape=box") == 20001
+
+
+# --- one depth-first walk -----------------------------------------------------
+
+# The explicit-stack loops render_tree, export_dot and enumerate_paths ran
+# before they looped over walk, kept verbatim as oracles.
+
+def render_tree_reference(t):
+    """Fully parenthesised infix form, e.g. ``(F < b > T) < a > F``."""
+    # The stack holds text still to emit and subtrees still to expand, in
+    # reverse order; an explicit stack copes with deep trees.
+    parts: list[str] = []
+    # One separator string per atom rather than one per branch printed.
+    separators: dict[str, str] = {}
+    stack: list[EvalTree | str] = [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Leaf):
+            parts.append("T" if item.value else "F")
+        else:
+            separator = separators.get(item.atom)
+            if separator is None:
+                separator = separators[item.atom] = f" < {item.atom} > "
+            right, left = item.right, item.left
+            stack.extend((")", right, "(") if isinstance(right, Branch) else (right,))
+            stack.append(separator)
+            stack.extend((")", left, "(") if isinstance(left, Branch) else (left,))
+    return "".join(parts)
+
+
+def export_dot_reference(t):
+    """DOT digraph: atoms as ellipses, leaves as boxes labeled T/F,
+    true edges labeled "T", false edges labeled "F".  Nodes are numbered in
+    pre-order, each branch's edges following both of its subtrees."""
+    lines = ["digraph evaltree {"]
+    counter = 0
+    # A work item is (node, ids of its parent's children) to number and
+    # print a node, or (node id, its children's ids) to print its edges.
+    stack: list[tuple[EvalTree | int, list[int]]] = [(t, [])]
+    while stack:
+        item, ids = stack.pop()
+        if isinstance(item, int):
+            lines.append(f'  n{item} -> n{ids[0]} [label="T"];')
+            lines.append(f'  n{item} -> n{ids[1]} [label="F"];')
+            continue
+        node_id = counter
+        counter += 1
+        ids.append(node_id)
+        if isinstance(item, Leaf):
+            label = "T" if item.value else "F"
+            lines.append(f'  n{node_id} [shape=box, label="{label}"];')
+        else:
+            lines.append(f'  n{node_id} [shape=ellipse, label="{item.atom}"];')
+            children: list[int] = []
+            stack.append((node_id, children))
+            stack.append((item.right, children))
+            stack.append((item.left, children))
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def enumerate_paths_reference(t):
+    """All root-to-leaf traces of t with their leaf values, true branch first."""
+    stack: list[tuple[EvalTree, tuple[PathEntry, ...]]] = [(t, ())]
+    while stack:
+        node, prefix = stack.pop()
+        if isinstance(node, Leaf):
+            yield prefix, node.value
+        else:
+            stack.append((node.right, prefix + ((node.atom, False),)))
+            stack.append((node.left, prefix + ((node.atom, True),)))
+
+
+def assert_walkers_match_references(t, paths=True):
+    assert render_tree(t) == render_tree_reference(t)
+    assert export_dot(t) == export_dot_reference(t)
+    if paths:
+        assert list(enumerate_paths(t)) == list(enumerate_paths_reference(t))
+
+
+class TestWalk:
+    def test_events_on_example(self):
+        t = se(parse("a && !b"))
+        b = t.left
+        assert t == Branch(Branch(FALSE_LEAF, "b", TRUE_LEAF), "a", FALSE_LEAF)
+        expected = [(t, 0), (b, 0), (b.left, 0), (b, 1), (b.right, 0), (b, 2),
+                    (t, 1), (t.right, 0), (t, 2)]
+        events = list(walk(t))
+        assert [step for _, step in events] == [step for _, step in expected]
+        assert all(node is want for (node, _), (want, _) in zip(events, expected))
+
+    def test_shared_subtree_walked_at_each_occurrence(self):
+        shared = Branch(TRUE_LEAF, "b", FALSE_LEAF)
+        t = Branch(shared, "a", shared)
+        occurrence = [(shared, 0), (TRUE_LEAF, 0), (shared, 1), (FALSE_LEAF, 0), (shared, 2)]
+        expected = [(t, 0), *occurrence, (t, 1), *occurrence, (t, 2)]
+        events = list(walk(t))
+        assert [step for _, step in events] == [step for _, step in expected]
+        assert all(node is want for (node, _), (want, _) in zip(events, expected))
+
+    def test_leaf(self):
+        assert list(walk(FALSE_LEAF)) == [(FALSE_LEAF, 0)]
+
+    def test_walkers_match_references_exhaustively(self):
+        for f in enumerate_formulas(["a", "b"], 6):
+            assert_walkers_match_references(se(f))
+
+    @settings(max_examples=300)
+    @given(formulas(max_leaves=10).filter(lambda f: node_count(f) <= 20))
+    def test_walkers_match_references(self, f):
+        assert_walkers_match_references(se(f))
+
+    def test_shared_chain(self):
+        assert_walkers_match_references(se(parse(_or_chain(12))))
+
+    def test_flat_chain(self):
+        assert_walkers_match_references(se(parse(_flat_chain(1200))))
+
+    def test_deep_chain(self):
+        # The path oracle keeps every pending right leaf with its own prefix,
+        # about 2 * 10^8 entries here, so the paths are checked against their
+        # closed form: all true down to x0, then each F leaf bottom up.
+        t = se(_deep_chain())
+        assert_walkers_match_references(t, paths=False)
+        traces = enumerate_paths(t)
+        first = next(traces)
+        assert first == (tuple((f"x{i}", True) for i in reversed(range(20000))), True)
+        count = 1
+        for j, trace in enumerate(traces, 1):
+            # Sliced from the first trace, whose entries the later ones share,
+            # so most entries compare by identity.
+            assert trace == (first[0][:20000 - j] + ((f"x{j - 1}", False),), False)
+            count += 1
+        assert count == 20001
+
+    def test_deep_chain_paths_match_reference(self):
+        # A 2,000-deep chain keeps the oracle's pending prefixes small.
+        f = Lit("x0")
+        for i in range(1, 2000):
+            f = Con(Lit(f"x{i}"), f)
+        t = se(f)
+        assert list(enumerate_paths(t)) == list(enumerate_paths_reference(t))

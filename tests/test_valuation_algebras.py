@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -395,3 +396,11 @@ class TestAlgebraClass:
         assert STATIC.includes(MEMORIZING)
         assert not REPETITION_PROOF.includes(CONTRACTIVE)
         assert AlgebraClass(repetition_proof=True).includes(REPETITION_PROOF)
+
+
+def test_path_algebra_is_repetition_proof_exactly_when_its_path_is():
+    for length in range(5):
+        for atoms in itertools.product("ab", repeat=length):
+            for values in itertools.product((True, False), repeat=length):
+                p = tuple(zip(atoms, values))
+                assert class_check(build_va(p)).repetition_proof == is_repetition_proof(p), p
