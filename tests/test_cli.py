@@ -164,6 +164,13 @@ class TestNormalize:
         assert lines[0].count(" && T || F)") == 600
         assert lines[1] == "class: T*-term"
 
+    def test_deep_negation(self, capsys):
+        # Negations flip the polarity in a loop, so 3,000 of them take no
+        # stack.
+        code, out, _ = run(capsys, "normalize", "!" * 3000 + "a")
+        assert code == EXIT_YES
+        assert out.splitlines() == ["T && (a && T || F)", "class: T*-term"]
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import sys
 from dataclasses import dataclass
 from typing import Union
@@ -7,7 +8,8 @@ from typing import Union
 import pytest
 from hypothesis import given, settings
 
-from sclsat.eval_tree import leaf_profile, se
+from sclsat.cli import _random_formula
+from sclsat.eval_tree import leaf_profile, render_tree, se
 from sclsat.formula_core import (
     Con,
     Const,
@@ -96,6 +98,19 @@ class TestNormalize:
         for f in enumerate_formulas(["a"], 5):
             g = normalize(f)
             assert se(normalize(g)) == se(g)
+
+    def test_one_normal_form_per_tree(self):
+        # normalize(x) and normalize(y) print alike exactly when se(x) and
+        # se(y) do.  Texts are compared because tree == recurses per level.
+        rng = random.Random(16)
+        sample = [_random_formula(rng, ["a", "b", "c"], rng.randint(5, 24)) for _ in range(5000)]
+        nf_of_tree: dict[str, str] = {}
+        tree_of_nf: dict[str, str] = {}
+        for f in SUITE + sample:
+            tree, nf = render_tree(se(f)), render(normalize(f))
+            assert nf_of_tree.setdefault(tree, nf) == nf
+            assert tree_of_nf.setdefault(nf, tree) == tree
+        assert len(nf_of_tree) > 3000
 
 
 # --- the recursive closed-term combinators, kept as the oracle --------------
