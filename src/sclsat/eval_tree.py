@@ -9,8 +9,11 @@ fold_se computes se_k(f, t, e) = se(f)[T -> t, F -> e] right to left with a
 caller's rule in place of each branch: se builds Branch nodes with it,
 sat_solvers.sat_open guards and normal_form closed terms.
 
-Trees are immutable and may share subtrees.  se(f) returns a shared DAG, equal
-under ``==`` to the tree, with O(|f|) distinct nodes where the tree itself can
+Leaf and Branch are slotted nodes on formula_core's base, immutable by
+convention, with the same iterative ``==``, ``hash`` and ``repr``: deep trees
+compare and hash without recursion, each pair of shared subtrees compared
+once.  Trees may share subtrees.  se(f) returns a shared DAG, equal under
+``==`` to the tree, with O(|f|) distinct nodes where the tree itself can
 have exponentially many leaves.  substitute, depth and leaf_profile run on
 _fold, which visits each distinct node once, keyed by identity, and keeps that
 sharing; render_tree, export_dot and paths.enumerate_paths loop over walk,
@@ -23,19 +26,23 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar, Union
 
-from .formula_core import Con, Const, Dis, Formula, Lit, Neg, _scan, is_valid_atom
+from .formula_core import Con, Const, Dis, Formula, Lit, Neg, _Node, _scan, is_valid_atom
 
 
-@dataclass(frozen=True)
-class Leaf:
-    value: bool
+class Leaf(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool) -> None:
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Branch:
-    left: "EvalTree"
-    atom: str
-    right: "EvalTree"
+class Branch(_Node):
+    __slots__ = ("left", "atom", "right")
+
+    def __init__(self, left: "EvalTree", atom: str, right: "EvalTree") -> None:
+        self.left = left
+        self.atom = atom
+        self.right = right
 
 
 EvalTree = Union[Leaf, Branch]

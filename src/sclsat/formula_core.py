@@ -15,14 +15,20 @@ solvers' flag pass, the boolean encoder's atom numbering and gates, and the
 axiom instantiation are folds of the same kind; the gates are defined by
 walks that share one set of entered nodes, so each node is defined once.
 The functions ``parse`` and ``render`` keep explicit stacks of their own,
-because text is read and written top-down; ``_scan`` splits the text.
+because text is read and written top-down.  ``parse`` splits its text with
+one ``re.findall``; only on an error does it re-scan the text with
+``_scan``, which yields token positions, to say where.
+
+Nodes are slotted classes, immutable by convention, whose ``==``, ``hash``
+and ``repr`` run on explicit stacks (see ``_Node``); ``eval_tree``'s Leaf
+and Branch share the base.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+import string
+from typing import Iterator, NoReturn, Optional, Union
 
 ATOM_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 RESERVED_WORDS = frozenset({"T", "F"})
@@ -32,35 +38,124 @@ def is_valid_atom(name: str) -> bool:
     return bool(ATOM_PATTERN.match(name)) and name not in RESERVED_WORDS
 
 
-@dataclass(frozen=True)
-class Const:
-    value: bool
+class _Node:
+    """Base of the formula and evaluation-tree nodes.  A node's fields are
+    its class's ``__slots__``, set by ``__init__``.  Nodes are immutable by
+    convention: nothing assigns a field after construction.  (A raising
+    ``__setattr__`` would double the cost of building a node, to about that
+    of a frozen dataclass.)
+
+    ``==``, ``hash`` and ``repr`` agree with a dataclass's but run on
+    explicit stacks, so deep nodes need no recursion.  ``==`` compares nodes
+    of the same class field by field, each pair of subnodes once; ``hash``
+    is computed from the class and fields on first use and cached, so equal
+    nodes hash equal; ``repr`` gives the dataclass text."""
+
+    __slots__ = ("_hash",)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        compared: set[tuple[int, int]] = set()
+        # Pairs of nodes still to compare, flattened: x1, y1, x2, y2, ...
+        stack: list[_Node] = [self, other]
+        while stack:
+            y = stack.pop()
+            x = stack.pop()
+            for name in x.__slots__:
+                a = getattr(x, name)
+                b = getattr(y, name)
+                if a is b:
+                    continue
+                if a.__class__ is b.__class__ and isinstance(a, _Node):
+                    key = (id(a), id(b))
+                    if key not in compared:
+                        compared.add(key)
+                        stack += (a, b)
+                elif a != b:
+                    return False
+        return True
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            values = [getattr(node, name) for name in node.__slots__]
+            pending = [v for v in values if isinstance(v, _Node) and not hasattr(v, "_hash")]
+            if pending:
+                stack += pending
+                continue
+            stack.pop()
+            node._hash = hash((node.__class__, *(v._hash if isinstance(v, _Node) else v for v in values)))
+        return self._hash
+
+    def __repr__(self) -> str:
+        parts: list[str] = []
+        # Text still to emit and nodes still to expand, in reverse order.
+        stack: list[_Node | str] = [self]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, _Node):
+                parts.append(item)
+                continue
+            parts.append(f"{item.__class__.__qualname__}(")
+            stack.append(")")
+            names = item.__slots__
+            for i in range(len(names) - 1, -1, -1):
+                value = getattr(item, names[i])
+                stack.append(value if isinstance(value, _Node) else repr(value))
+                stack.append(f"{', ' if i else ''}{names[i]}=")
+        return "".join(parts)
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt from the fields alone: a cached hash of a string is only
+        # valid in the process that computed it.
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
 
 
-@dataclass(frozen=True)
-class Lit:
-    atom: str
+class Const(_Node):
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        if not is_valid_atom(self.atom):
-            raise ValueError(f"invalid atom name: {self.atom!r}")
+    def __init__(self, value: bool) -> None:
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Neg:
-    inner: "Formula"
+class Lit(_Node):
+    __slots__ = ("atom",)
+
+    def __init__(self, atom: str) -> None:
+        if not is_valid_atom(atom):
+            raise ValueError(f"invalid atom name: {atom!r}")
+        self.atom = atom
 
 
-@dataclass(frozen=True)
-class Con:
-    left: "Formula"
-    right: "Formula"
+class Neg(_Node):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: "Formula") -> None:
+        self.inner = inner
 
 
-@dataclass(frozen=True)
-class Dis:
-    left: "Formula"
-    right: "Formula"
+class Con(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Formula", right: "Formula") -> None:
+        self.left = left
+        self.right = right
+
+
+class Dis(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Formula", right: "Formula") -> None:
+        self.left = left
+        self.right = right
 
 
 Formula = Union[Const, Lit, Neg, Con, Dis]
@@ -105,6 +200,20 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# parse's tokens, blanks skipped: an operator, a parenthesis, a word, or one
+# other character, which no rule of the grammar accepts.
+_PARSE_TOKEN_RE = re.compile(r"&&|\|\||[!()]|[A-Za-z_][A-Za-z0-9_]*|\S")
+_WORD_START = frozenset(string.ascii_letters + "_")
+
+
+def _fail(text: str, index: int, message: str) -> NoReturn:
+    """Raise the ParseError message at the position of text's token number
+    index (the end of text when there is no such token), or, before that,
+    the error for the first character that no token matches."""
+    tokens = _tokenize(text)
+    raise ParseError(message, tokens[index][2] if index < len(tokens) else len(text))
+
+
 def parse(text: str) -> Formula:
     """Parse text by the grammar
 
@@ -116,58 +225,68 @@ def parse(text: str) -> Formula:
     with '!' binding tighter than '&&', which binds tighter than '||';
     both binary operators associate to the left.
 
-    Iterative: one group per open parenthesis (the outermost for the whole
-    input) holds the disjunction and the conjunction built so far and the
-    number of '!' before its '(', so nesting depth costs no recursion.
+    One ``re.findall`` splits the text into token strings, without
+    positions; an error re-scans it with ``_tokenize`` to report where.
+    Each atom occurrence gets its own Lit, built without re-checking the
+    name the token pattern has matched.  Iterative: one group per open
+    parenthesis (the outermost for the whole input) holds the disjunction
+    and the conjunction built so far and the number of '!' before its '(',
+    so nesting depth costs no recursion.
     """
-    tokens = _tokenize(text)
+    tokens = _PARSE_TOKEN_RE.findall(text)
     count = len(tokens)
     index = 0
+    new = object.__new__
     # Each group is [disjunction so far, conjunction so far, negations
     # before its '(']; None means no operand yet.
     groups: list[list] = [[None, None, 0]]
     negations = 0
     while True:
         if index == count:
-            raise ParseError("unexpected end of input", len(text))
-        kind, value, pos = tokens[index]
+            _fail(text, index, "unexpected end of input")
+        token = tokens[index]
         index += 1
-        if kind == "not":
+        if token == "!":
             negations += 1
             continue
-        if kind == "lpar":
+        if token == "(":
             groups.append([None, None, negations])
             negations = 0
             continue
-        if kind != "word":
-            raise ParseError(f"unexpected token {value!r}", pos)
-        operand: Formula = TRUE if value == "T" else FALSE if value == "F" else Lit(value)
+        if token == "T":
+            operand: Formula = TRUE
+        elif token == "F":
+            operand = FALSE
+        elif token[0] in _WORD_START:
+            operand = new(Lit)
+            operand.atom = token
+        else:
+            _fail(text, index - 1, f"unexpected token {token!r}")
         # Fold the finished unary into its group; a closing parenthesis
         # finishes the group as a unary of the enclosing one.
         while True:
-            for _ in range(negations):
+            while negations:
                 operand = Neg(operand)
+                negations -= 1
             group = groups[-1]
             group[1] = operand if group[1] is None else Con(group[1], operand)
             token = tokens[index] if index < count else None
-            if token is not None and token[0] == "and":
+            if token == "&&":
                 index += 1
-                negations = 0
                 break
             group[0] = group[1] if group[0] is None else Dis(group[0], group[1])
             group[1] = None
-            if token is not None and token[0] == "or":
+            if token == "||":
                 index += 1
-                negations = 0
                 break
             if len(groups) == 1:
                 if token is not None:
-                    raise ParseError(f"unexpected trailing input {token[1]!r}", token[2])
+                    _fail(text, index, f"unexpected trailing input {token!r}")
                 return group[0]
             if token is None:
-                raise ParseError("unexpected end of input, expected rpar", len(text))
-            if token[0] != "rpar":
-                raise ParseError(f"expected rpar, found {token[1]!r}", token[2])
+                _fail(text, index, "unexpected end of input, expected rpar")
+            if token != ")":
+                _fail(text, index, f"expected rpar, found {token!r}")
             index += 1
             groups.pop()
             operand, negations = group[0], group[2]

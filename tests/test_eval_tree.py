@@ -36,7 +36,7 @@ from sclsat.formula_core import (
 from sclsat.paths import PathEntry, enumerate_paths
 
 from test_cli import run
-from test_formula_core import formulas
+from test_formula_core import _criterion_10_chain, formulas
 
 
 def trees(atoms=("a", "b", "c"), max_leaves=8):
@@ -190,6 +190,22 @@ class TestSe:
         f = parse(text)
         assert _distinct_nodes(se(f)) <= node_count(f) + 2
 
+    @pytest.mark.parametrize("make", [lambda: parse(_flat_chain(1200)), _criterion_10_chain],
+                             ids=["flat_chain", "chain_10000"])
+    def test_deep_equality_and_hash(self, make):
+        t, u = se(make()), se(make())
+        assert t is not u
+        assert t == u and hash(t) == hash(u)
+        assert repr(t) == repr(u)
+        assert t != substitute(u, FALSE_LEAF, TRUE_LEAF)
+
+    def test_shared_equality_is_linear(self):
+        # Each tree has 2^21 - 1 leaves over 42 distinct nodes; == compares
+        # each pair of distinct nodes once.
+        t, u = se(parse(_or_chain(20))), se(parse(_or_chain(20)))
+        assert t == u and hash(t) == hash(u)
+        assert t != se(parse(_or_chain(19) + " && (a19 || c)"))
+
     def test_shared_chain_profile(self):
         # (a0 || b0) && ... has 2^n true and 2^n - 1 false leaves.
         for n in (3, 10, 20):
@@ -294,7 +310,7 @@ class TestTreeText:
 
     @pytest.mark.parametrize("make", [lambda: parse(_flat_chain(1200)), _deep_chain], ids=["flat_chain", "deep_chain"])
     def test_deep_round_trip(self, make):
-        # Compared as text: dataclass == recurses once per level.
+        # Compared as text, independently of the nodes' ==.
         text = render_tree(se(make()))
         assert render_tree(parse_tree(text)) == text
 

@@ -332,7 +332,7 @@ def parse_outcome(parser, text):
 
 
 def same_formula(f, g):
-    """Structural equality with an explicit stack (dataclass == recurses)."""
+    """Structural equality with an explicit stack, independent of the nodes' ==."""
     stack = [(f, g)]
     while stack:
         x, y = stack.pop()
@@ -418,6 +418,32 @@ class TestParserMatchesReference:
         assert parse_outcome(parse, text) == parse_outcome(lambda t: ParserReference(t).parse(), text)
 
 
+# Blanks that \s matches beyond the space, lone halves of the operators, and
+# words that are not atoms or are next to one.
+_EDGE_TOKENS = _TOKENS + ["\t", "\n", "\u00a0", "\x1c", "&", "|", "1a", "\u00e9", "a1"]
+
+
+class TestParserEdgeCases:
+    @settings(max_examples=600)
+    @given(st.lists(st.sampled_from(_EDGE_TOKENS), max_size=14).map("".join))
+    def test_wider_token_alphabet(self, text):
+        assert parse_outcome(parse, text) == parse_outcome(lambda t: ParserReference(t).parse(), text)
+
+    @pytest.mark.parametrize("text", ["a & b", "a | b", "a &&& b", "1a", "a\u00a0&&\x1cb", "(a\t||\n\u00e9)", "a b @"])
+    def test_examples(self, text):
+        assert parse_outcome(parse, text) == parse_outcome(lambda t: ParserReference(t).parse(), text)
+
+    def test_each_atom_occurrence_is_its_own_lit(self):
+        f = parse("a && a")
+        assert f.left == f.right == Lit("a")
+        assert f.left is not f.right
+
+    @pytest.mark.parametrize("name", ["T", "1a", "\u00e9"])
+    def test_public_lit_validates(self, name):
+        with pytest.raises(ValueError):
+            Lit(name)
+
+
 def _criterion_10_chain():
     f = Lit("x0")
     for i in range(1, 5000):
@@ -447,6 +473,18 @@ class TestDeepInputs:
         assert is_constant_free(f)
         assert same_formula(expand_abbreviations(f), f)
         assert same_formula(parse(render(f)), f)
+
+    @pytest.mark.parametrize(
+        "make",
+        [_criterion_10_chain, lambda: parse(" && ".join(f"x{i}" for i in range(1200)))],
+        ids=["chain_10000", "flat_chain_1200"],
+    )
+    def test_equality_hash_and_repr(self, make):
+        f, g = make(), make()
+        assert f == g and hash(f) == hash(g)
+        assert f == parse(render(f)) and hash(f) == hash(parse(render(f)))
+        assert f != parse(render(f) + " && z")
+        assert repr(f) == repr(g) and repr(f).count("Lit(atom=") == atom_occurrences(f)
 
     def test_deep_abbreviations(self):
         f = parse("!" * 3000 + "(a || F)")
