@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar, Union
 
-from .formula_core import Con, Const, Dis, Formula, Lit, Neg, _Node, _scan, is_valid_atom
+from .formula_core import _ATOM, Con, Const, Dis, Formula, Lit, Neg, _Node, _scan, is_valid_atom
 
 
 class Leaf(_Node):
@@ -205,7 +205,7 @@ def render_tree(t: EvalTree) -> str:
     return "".join(parts)
 
 
-_TREE_TOKEN_RE = re.compile(r"\s*(?:(?P<lpar>\()|(?P<rpar>\))|(?P<lt><)|(?P<gt>>)|(?P<word>[A-Za-z_][A-Za-z0-9_]*))")
+_TREE_TOKEN_RE = re.compile(rf"\s*(?:(?P<lpar>\()|(?P<rpar>\))|(?P<lt><)|(?P<gt>>)|(?P<word>{_ATOM}))")
 
 
 class TreeParseError(ValueError):

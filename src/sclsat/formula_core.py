@@ -17,7 +17,10 @@ walks that share one set of entered nodes, so each node is defined once.
 The functions ``parse`` and ``render`` keep explicit stacks of their own,
 because text is read and written top-down.  ``parse`` splits its text with
 one ``re.findall``; only on an error does it re-scan the text with
-``_scan``, which yields token positions, to say where.
+``_scan``, which yields token positions, to say where.  Atom names follow
+one pattern, ``_ATOM``; ``ATOM_PATTERN``, the formula tokenizers and the
+tree and path readers (``eval_tree.parse_tree``, ``paths.parse_path``) are
+all built from it.
 
 Nodes are slotted classes, immutable by convention, whose ``==``, ``hash``
 and ``repr`` run on explicit stacks (see ``_Node``); ``eval_tree``'s Leaf
@@ -30,7 +33,8 @@ import re
 import string
 from typing import Iterator, NoReturn, Optional, Union
 
-ATOM_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_ATOM = r"[A-Za-z_][A-Za-z0-9_]*"
+ATOM_PATTERN = re.compile(_ATOM + r"\Z")
 RESERVED_WORDS = frozenset({"T", "F"})
 
 
@@ -172,7 +176,7 @@ class ParseError(ValueError):
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<and>&&)|(?P<or>\|\|)|(?P<not>!)|(?P<lpar>\()|(?P<rpar>\))"
-    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*))"
+    rf"|(?P<word>{_ATOM}))"
 )
 
 
@@ -202,7 +206,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 # parse's tokens, blanks skipped: an operator, a parenthesis, a word, or one
 # other character, which no rule of the grammar accepts.
-_PARSE_TOKEN_RE = re.compile(r"&&|\|\||[!()]|[A-Za-z_][A-Za-z0-9_]*|\S")
+_PARSE_TOKEN_RE = re.compile(rf"&&|\|\||[!()]|{_ATOM}|\S")
 _WORD_START = frozenset(string.ascii_letters + "_")
 
 

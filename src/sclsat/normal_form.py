@@ -15,7 +15,8 @@ l-terms and T*-terms open trees.
 
 ``classify_nf`` checks the grammar top-down on an explicit stack.  At each
 node the shape picks the only production that can apply: an l-term is the
-only *-term whose left operand is a conjunction headed by a literal.
+only *-term whose left operand is a conjunction headed by a literal.  PF is
+PT's dual, with && and || swapped and F for T, so one rule checks both.
 
 ``normalize`` rebuilds a formula bottom-up into this grammar from && and !
 alone.  It carries a polarity that each negation flips, and reads x || y
@@ -81,13 +82,9 @@ def _derives(f: Formula, symbol: str) -> bool:
             if not pending:
                 return True
             f, symbol = pending.pop()
-        elif symbol == "PT":
-            if not (isinstance(f, Dis) and isinstance(f.left, Con) and isinstance(f.left.left, Lit)):
-                return False
-            pending.append((f.right, symbol))
-            f = f.left.right
-        elif symbol == "PF":
-            if not (isinstance(f, Con) and isinstance(f.left, Dis) and isinstance(f.left.left, Lit)):
+        elif symbol in ("PT", "PF"):
+            outer, inner = (Dis, Con) if symbol == "PT" else (Con, Dis)
+            if not (isinstance(f, outer) and isinstance(f.left, inner) and isinstance(f.left.left, Lit)):
                 return False
             pending.append((f.right, symbol))
             f = f.left.right

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Iterator, Optional
 
 from .eval_tree import Branch, EvalTree, Leaf, walk
-from .formula_core import is_valid_atom
+from .formula_core import _ATOM, is_valid_atom
 
 PathEntry = tuple[str, bool]
 ValuationPath = tuple[PathEntry, ...]
@@ -110,7 +110,7 @@ class PathParseError(ValueError):
 
 
 # One entry and the comma after it, if any, each with the whitespace after it.
-_PATH_ENTRY_RE = re.compile(r"\(\s*([A-Za-z_][A-Za-z0-9_]*)\s*,\s*([TF])\s*\)\s*(?:(,)\s*)?")
+_PATH_ENTRY_RE = re.compile(rf"\(\s*({_ATOM})\s*,\s*([TF])\s*\)\s*(?:(,)\s*)?")
 
 
 def parse_path(text: str) -> ValuationPath:

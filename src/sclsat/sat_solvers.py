@@ -5,6 +5,7 @@ path ending in a true leaf whose recorded (atom, value) sequence respects the
 logic's path discipline: any path for FSCL, repetition-proof for RPSCL and
 CSCL, memorizing for MSCL and SSCL.  Satisfiability therefore collapses to
 three problems; RPSCL and CSCL always answer alike, as do MSCL and SSCL.
+Every solver sees a logic only through its discipline, ``Logic.discipline``.
 
 Five testers are provided:
 
@@ -12,8 +13,9 @@ Five testers are provided:
                        discipline at every true leaf; the reference oracle
     sat_brute_force    the same search, pruned to repetition-proof traces
                        for RPSCL and CSCL
-    sat_direct         linear bottom-up (satisfiable, falsifiable) pass;
-                       decides FSCL exactly
+    sat_direct         linear bottom-up (satisfiable, falsifiable) pass and
+                       a top-down trace that reads || through && under the
+                       wanted value; decides FSCL exactly
     sat_open           se computed over guards instead of trees, in one
                        linear right-to-left pass; decides RPSCL and CSCL
     sat_boolean        classical reduction: memorizing paths are exactly the
@@ -48,19 +50,20 @@ from .valuation_algebras import _evaluate
 
 
 class Logic(Enum):
-    FSCL = "FSCL"
-    RPSCL = "RPSCL"
-    CSCL = "CSCL"
-    MSCL = "MSCL"
-    SSCL = "SSCL"
+    # The discipline is a plain attribute, read by the solvers on every call.
+    FSCL = "FSCL", PathDiscipline.FREE
+    RPSCL = "RPSCL", PathDiscipline.REPETITION_PROOF
+    CSCL = "CSCL", PathDiscipline.REPETITION_PROOF
+    MSCL = "MSCL", PathDiscipline.MEMORIZING
+    SSCL = "SSCL", PathDiscipline.MEMORIZING
 
-    @property
-    def discipline(self) -> PathDiscipline:
-        if self is Logic.FSCL:
-            return PathDiscipline.FREE
-        if self in (Logic.RPSCL, Logic.CSCL):
-            return PathDiscipline.REPETITION_PROOF
-        return PathDiscipline.MEMORIZING
+    discipline: PathDiscipline
+
+    def __new__(cls, value: str, discipline: PathDiscipline) -> "Logic":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.discipline = discipline
+        return member
 
 
 def check_path(logic: Logic, p: ValuationPath) -> bool:
@@ -224,14 +227,14 @@ def sat_direct(logic: Logic, f: Formula) -> SatOutcome:
     bottom-up, then emit one candidate trace top-down.  Decides FSCL; for
     stricter logics the candidate either passes the discipline check (Yes) or
     leaves the question open (Unknown); FSCL-unsatisfiable is No for every
-    logic."""
+    logic.  The trace reads x || y through EqFSCL-2, x || y = !(!x && !y),
+    so one rule, taken under the wanted value, serves both connectives."""
     flags = _sat_fal_flags(f)
     visits = len(flags)
     if not flags[id(f)][0]:
         return SatOutcome("no", None, logic, "direct", visits, 0)
     entries: list[tuple[str, bool]] = []
-    SAT, FAL = True, False
-    work: list[tuple[Formula, bool]] = [(f, SAT)]
+    work: list[tuple[Formula, bool]] = [(f, True)]
     while work:
         node, want_sat = work.pop()
         visits += 1
@@ -243,28 +246,18 @@ def sat_direct(logic: Logic, f: Formula) -> SatOutcome:
         if isinstance(node, Neg):
             work.append((node.inner, not want_sat))
             continue
-        left_sat, left_fal = flags[id(node.left)]
-        if isinstance(node, Con):
-            if want_sat:
-                # Both conjuncts must succeed; the trace runs left then right.
-                work.append((node.right, SAT))
-                work.append((node.left, SAT))
-            elif left_fal:
-                work.append((node.left, FAL))
-            else:
-                work.append((node.right, FAL))
-                work.append((node.left, SAT))
+        if isinstance(node, Con) == want_sat:
+            # Both operands must yield the wanted value, left then right.
+            work.append((node.right, want_sat))
+            work.append((node.left, want_sat))
+        elif flags[id(node.left)][not want_sat]:
+            # The left operand alone short-circuits to the wanted value.
+            work.append((node.left, want_sat))
         else:
-            if not want_sat:
-                work.append((node.right, FAL))
-                work.append((node.left, FAL))
-            elif left_sat:
-                work.append((node.left, SAT))
-            else:
-                work.append((node.right, SAT))
-                work.append((node.left, FAL))
+            work.append((node.right, want_sat))
+            work.append((node.left, not want_sat))
     path = tuple(entries)
-    if logic is Logic.FSCL or check_path(logic, path):
+    if check_path(logic, path):
         return SatOutcome("yes", path, logic, "direct", visits, 0)
     return SatOutcome("unknown", None, logic, "direct", visits, 0)
 
@@ -314,8 +307,9 @@ def sat_open(logic: Logic, f: Formula) -> SatOutcome:
     CSCL; a found path also settles FSCL, and MSCL/SSCL when it is memorizing;
     no repetition-proof path is No for everything except FSCL."""
     final, visits = fold_se(f, _EMPTY, None, _guard)
+    discipline = logic.discipline
     if final is None:
-        if logic is Logic.FSCL:
+        if discipline is PathDiscipline.FREE:
             return SatOutcome("unknown", None, logic, "open", visits, 0)
         return SatOutcome("no", None, logic, "open", visits, 0)
     if final is _EMPTY:
@@ -323,7 +317,7 @@ def sat_open(logic: Logic, f: Formula) -> SatOutcome:
     else:
         _, slot_true, slot_false = final
         path = _cons_to_path(slot_true if slot_true is not None else slot_false)
-    if logic in (Logic.MSCL, Logic.SSCL) and not is_memorizing(path):
+    if discipline is PathDiscipline.MEMORIZING and not is_memorizing(path):
         return SatOutcome("unknown", None, logic, "open", visits, 0)
     return SatOutcome("yes", path, logic, "open", visits, 0)
 
@@ -661,7 +655,7 @@ def sat_boolean(logic: Logic, f: Formula) -> SatOutcome:
     clauses, atom_var, num_vars, visits = _clausify(f)
     model = None if clauses is None else _cdcl(clauses, num_vars)
     if model is None:
-        if logic in (Logic.MSCL, Logic.SSCL):
+        if logic.discipline is PathDiscipline.MEMORIZING:
             return SatOutcome("no", None, logic, "boolean", visits, 0)
         return SatOutcome("unknown", None, logic, "boolean", visits, 0)
     sigma = {atom: model[var] for atom, var in atom_var.items()}
@@ -681,9 +675,10 @@ _STRATEGIES: dict[str, Callable[[Logic, Formula], SatOutcome]] = {
 
 
 def _auto_solver(logic: Logic) -> Callable[[Logic, Formula], SatOutcome]:
-    if logic is Logic.FSCL:
+    discipline = logic.discipline
+    if discipline is PathDiscipline.FREE:
         return sat_direct
-    if logic in (Logic.RPSCL, Logic.CSCL):
+    if discipline is PathDiscipline.REPETITION_PROOF:
         return sat_open
     return sat_boolean
 

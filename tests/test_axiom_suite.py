@@ -11,8 +11,9 @@ from sclsat.axiom_suite import (
     check_model_soundness,
     instantiate,
 )
+from sclsat.cli import _random_formula
 from sclsat.eval_tree import se
-from sclsat.formula_core import Lit, enumerate_formulas, parse, render
+from sclsat.formula_core import enumerate_formulas, parse, render
 from sclsat.valuation_algebras import (
     CONTRACTIVE,
     MEMORIZING,
@@ -22,25 +23,9 @@ from sclsat.valuation_algebras import (
 )
 
 
-def _random_formula(rng, atoms, max_nodes):
-    from sclsat.formula_core import Con, Dis, FALSE, Neg, TRUE
-
-    def build(budget):
-        if budget == 1:
-            return rng.choice([TRUE, FALSE] + [Lit(a) for a in atoms])
-        kind = rng.randrange(3)
-        if kind == 0 or budget == 2:
-            return Neg(build(budget - 1))
-        split = rng.randrange(1, budget - 1)
-        ctor = Con if kind == 1 else Dis
-        return ctor(build(split), build(budget - 1 - split))
-
-    return build(rng.randrange(1, max_nodes + 1))
-
-
 def _random_bindings(rng, scheme, atoms=("a", "b", "c")):
     subst = {
-        v: _random_formula(rng, atoms, 9) for v in scheme.formula_vars
+        v: _random_formula(rng, atoms, rng.randrange(1, 10)) for v in scheme.formula_vars
     }
     atom_subst = {v: rng.choice(atoms) for v in scheme.atom_vars}
     return subst, atom_subst

@@ -23,8 +23,9 @@ from sclsat.formula_core import (
     render,
 )
 from sclsat import formula_core
-from sclsat.eval_tree import se
+from sclsat.eval_tree import FALSE_LEAF, TRUE_LEAF, Branch, TreeParseError, parse_tree, se
 from sclsat.normal_form import normalize
+from sclsat.paths import PathParseError, parse_path
 
 
 def formulas(atoms=("a", "b", "c"), max_leaves=8):
@@ -442,6 +443,24 @@ class TestParserEdgeCases:
     def test_public_lit_validates(self, name):
         with pytest.raises(ValueError):
             Lit(name)
+
+
+def _reads_atom(read, text, expected, error):
+    try:
+        return read(text) == expected
+    except error:
+        return False
+
+
+@pytest.mark.parametrize("name", ["a", "_", "a1", "a_b", "Tx", "T", "F", "1a", "\u00e9", "a-b", "x "])
+def test_text_readers_share_one_atom_grammar(name):
+    # Formulas, trees and paths each read name as one atom exactly when it
+    # is a valid atom name.
+    valid = is_valid_atom(name)
+    assert _reads_atom(parse, name, Lit(name) if valid else None, ParseError) == valid
+    tree = Branch(TRUE_LEAF, name, FALSE_LEAF)
+    assert _reads_atom(parse_tree, f"T < {name} > F", tree, TreeParseError) == valid
+    assert _reads_atom(parse_path, f"[({name},T)]", ((name, True),), PathParseError) == valid
 
 
 def _criterion_10_chain():

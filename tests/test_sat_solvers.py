@@ -10,7 +10,7 @@ from dataclasses import replace
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from sclsat.eval_tree import leaf_profile, se
 from sclsat import sat_solvers
@@ -340,6 +340,53 @@ def sat_open_reference(logic, f):
     return SatOutcome("yes", path, logic, "open", visits, 0)
 
 
+def sat_direct_reference(logic, f):
+    """The direct solver with its trace's && and || written as mirror rules,
+    before || was read through &&."""
+    flags = _sat_fal_flags(f)
+    visits = len(flags)
+    if not flags[id(f)][0]:
+        return SatOutcome("no", None, logic, "direct", visits, 0)
+    entries: list[tuple[str, bool]] = []
+    SAT, FAL = True, False
+    work: list[tuple[Formula, bool]] = [(f, SAT)]
+    while work:
+        node, want_sat = work.pop()
+        visits += 1
+        if isinstance(node, Const):
+            continue
+        if isinstance(node, Lit):
+            entries.append((node.atom, want_sat))
+            continue
+        if isinstance(node, Neg):
+            work.append((node.inner, not want_sat))
+            continue
+        left_sat, left_fal = flags[id(node.left)]
+        if isinstance(node, Con):
+            if want_sat:
+                # Both conjuncts must succeed; the trace runs left then right.
+                work.append((node.right, SAT))
+                work.append((node.left, SAT))
+            elif left_fal:
+                work.append((node.left, FAL))
+            else:
+                work.append((node.right, FAL))
+                work.append((node.left, SAT))
+        else:
+            if not want_sat:
+                work.append((node.right, FAL))
+                work.append((node.left, FAL))
+            elif left_sat:
+                work.append((node.left, SAT))
+            else:
+                work.append((node.right, SAT))
+                work.append((node.left, FAL))
+    path = tuple(entries)
+    if logic is Logic.FSCL or check_path(logic, path):
+        return SatOutcome("yes", path, logic, "direct", visits, 0)
+    return SatOutcome("unknown", None, logic, "direct", visits, 0)
+
+
 SUITE = list(enumerate_formulas(["a", "b"], 7))
 
 # SHA-256 over repr((answer, witness, logic, solver, node_visits,
@@ -376,6 +423,17 @@ class TestUnchangedOnSuite:
     def test_open_matches_reference_on_random(self, f):
         for logic in ALL_LOGICS:
             assert sat_open(logic, f) == sat_open_reference(logic, f)
+
+    @settings(max_examples=300, deadline=None)
+    @given(formulas(atoms=("a", "b", "c", "d"), max_leaves=20).filter(lambda f: node_count(f) <= 40))
+    # Random formulas seldom reach the rule's last case, where the left
+    # operand cannot short-circuit and both operands enter the trace.
+    @example(parse("(a && F || b && F) || c && d"))
+    @example(parse("!((a || T) && (b || c) && d)"))
+    @example(parse("!(!(a && b && F) && (c || !d))"))
+    def test_direct_matches_reference_on_random(self, f):
+        for logic in ALL_LOGICS:
+            assert sat_direct(logic, f) == sat_direct_reference(logic, f)
 
     @pytest.mark.parametrize("strategy", list(OUTCOME_DIGESTS))
     def test_every_outcome_field(self, strategy):
