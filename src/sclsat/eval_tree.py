@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar, Union
 
-from .formula_core import _ATOM, Con, Const, Dis, Formula, Lit, Neg, _Node, _scan, is_valid_atom
+from .formula_core import _ATOM, Con, Const, Dis, Formula, Lit, Neg, _Node, is_valid_atom
 
 
 class Leaf(_Node):
@@ -214,9 +214,17 @@ class TreeParseError(ValueError):
 
 def parse_tree(text: str) -> EvalTree:
     """Inverse of render_tree."""
-    tokens, stop = _scan(_TREE_TOKEN_RE, text)
-    if stop is not None:
-        raise TreeParseError(f"unexpected input at position {stop}")
+    # (kind, text) tokens, each match starting where the last one ended.
+    tokens: list[tuple[str, str]] = []
+    pos = 0
+    while pos < len(text):
+        match = _TREE_TOKEN_RE.match(text, pos)
+        if match is None:
+            if text[pos:].strip():
+                raise TreeParseError(f"unexpected input at position {pos}")
+            break
+        tokens.append((match.lastgroup, match[match.lastgroup]))
+        pos = match.end()
 
     # Grammar: tree := operand ('<' atom '>' operand)?, operand := '(' tree ')'
     # | 'T' | 'F'.  One frame per open parenthesis (the outermost for the
@@ -227,7 +235,7 @@ def parse_tree(text: str) -> EvalTree:
     while True:
         if index >= len(tokens):
             raise TreeParseError("unexpected end of input")
-        kind, value, _ = tokens[index]
+        kind, value = tokens[index]
         index += 1
         if kind == "lpar":
             frames.append(None)

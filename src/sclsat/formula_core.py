@@ -16,11 +16,11 @@ axiom instantiation are folds of the same kind; the gates are defined by
 walks that share one set of entered nodes, so each node is defined once.
 The functions ``parse`` and ``render`` keep explicit stacks of their own,
 because text is read and written top-down.  ``parse`` splits its text with
-one ``re.findall``; only on an error does it re-scan the text with
-``_scan``, which yields token positions, to say where.  Atom names follow
-one pattern, ``_ATOM``; ``ATOM_PATTERN``, the formula tokenizers and the
-tree and path readers (``eval_tree.parse_tree``, ``paths.parse_path``) are
-all built from it.
+one token pattern and ``re.findall``; only on an error does it run the same
+pattern again with positions, to say where.  Atom names follow one pattern,
+``_ATOM``; ``ATOM_PATTERN``, the formula token pattern, the word-start
+characters and the tree and path readers (``eval_tree.parse_tree``,
+``paths.parse_path``) are all built from it.
 
 Nodes are slotted classes, immutable by convention, whose ``==``, ``hash``
 and ``repr`` run on explicit stacks (see ``_Node``); ``eval_tree``'s Leaf
@@ -30,7 +30,6 @@ and Branch share the base.
 from __future__ import annotations
 
 import re
-import string
 from typing import Iterator, NoReturn, Optional, Union
 
 _ATOM = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -174,48 +173,26 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<and>&&)|(?P<or>\|\|)|(?P<not>!)|(?P<lpar>\()|(?P<rpar>\))"
-    rf"|(?P<word>{_ATOM}))"
-)
-
-
-def _scan(pattern: re.Pattern[str], text: str) -> tuple[list[tuple[str, str, int]], Optional[int]]:
-    """The (group name, text, position) tokens pattern matches one after
-    another from the start of text, and the position where matching stopped
-    with non-whitespace text left (None if none was left)."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = pattern.match(text, pos)
-        if match is None:
-            return tokens, pos if text[pos:].strip() else None
-        kind = match.lastgroup
-        tokens.append((kind, match.group(kind), match.start(kind)))
-        pos = match.end()
-    return tokens, None
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens, stop = _scan(_TOKEN_RE, text)
-    if stop is not None:
-        rest = text[stop:].lstrip()
-        raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
-    return tokens
-
-
 # parse's tokens, blanks skipped: an operator, a parenthesis, a word, or one
 # other character, which no rule of the grammar accepts.
 _PARSE_TOKEN_RE = re.compile(rf"&&|\|\||[!()]|{_ATOM}|\S")
-_WORD_START = frozenset(string.ascii_letters + "_")
+# The characters that start a word: the ASCII characters that _ATOM matches
+# as a one-character word (atom names are ASCII).
+_WORD_START = frozenset(filter(re.compile(_ATOM).match, map(chr, range(128))))
 
 
 def _fail(text: str, index: int, message: str) -> NoReturn:
     """Raise the ParseError message at the position of text's token number
     index (the end of text when there is no such token), or, before that,
-    the error for the first character that no token matches."""
-    tokens = _tokenize(text)
-    raise ParseError(message, tokens[index][2] if index < len(tokens) else len(text))
+    the error for the first character that no rule of the grammar accepts:
+    a one-character token that is neither an operator, a parenthesis nor
+    the start of a word."""
+    matches = list(_PARSE_TOKEN_RE.finditer(text))
+    for match in matches:
+        token = match[0]
+        if len(token) == 1 and token not in "!()" and token not in _WORD_START:
+            raise ParseError(f"unexpected character {token!r}", match.start())
+    raise ParseError(message, matches[index].start() if index < len(matches) else len(text))
 
 
 def parse(text: str) -> Formula:
@@ -230,7 +207,8 @@ def parse(text: str) -> Formula:
     both binary operators associate to the left.
 
     One ``re.findall`` splits the text into token strings, without
-    positions; an error re-scans it with ``_tokenize`` to report where.
+    positions; an error re-runs the same pattern with positions to report
+    where.
     Each atom occurrence gets its own Lit, built without re-checking the
     name the token pattern has matched.  Iterative: one group per open
     parenthesis (the outermost for the whole input) holds the disjunction

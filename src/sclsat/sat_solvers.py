@@ -46,7 +46,7 @@ from .paths import (
     check_discipline,
     is_memorizing,
 )
-from .valuation_algebras import _evaluate
+from .valuation_algebras import _evaluate, evaluation_path
 
 
 class Logic(Enum):
@@ -634,12 +634,6 @@ class _StaticAlgebra:
         return state
 
 
-def _assignment_path(f: Formula, sigma: dict[str, bool]) -> ValuationPath:
-    """The trace of evaluating f when every atom constantly yields sigma[atom]
-    (false if absent); memorizing by construction."""
-    return _evaluate(_StaticAlgebra(sigma), f, 0, True)[2]
-
-
 def sat_boolean(logic: Logic, f: Formula) -> SatOutcome:
     """Reduce to classical satisfiability: a memorizing true trace exists
     exactly when some boolean assignment makes f classically true, and
@@ -659,7 +653,8 @@ def sat_boolean(logic: Logic, f: Formula) -> SatOutcome:
             return SatOutcome("no", None, logic, "boolean", visits, 0)
         return SatOutcome("unknown", None, logic, "boolean", visits, 0)
     sigma = {atom: model[var] for atom, var in atom_var.items()}
-    path = _assignment_path(f, sigma)
+    # The trace under sigma, memorizing by construction.
+    path = evaluation_path(_StaticAlgebra(sigma), f, 0)
     return SatOutcome("yes", path, logic, "boolean", visits, 0)
 
 

@@ -9,11 +9,11 @@ import pytest
 
 import sclsat
 from sclsat import cli
-from sclsat.axiom_suite import SYSTEMS
+from sclsat.axiom_suite import SYSTEMS, AxiomScheme
 from sclsat.cli import EXIT_NO, EXIT_PARSE, EXIT_UNKNOWN, EXIT_USAGE, EXIT_YES, build_parser, main
 from sclsat.formula_core import parse
 from sclsat.paths import parse_path
-from sclsat.valuation_algebras import FiniteAlgebra, build_cva, class_check, evaluation_path
+from sclsat.valuation_algebras import FiniteAlgebra, build_cva, build_va, class_check, evaluation_path
 
 
 def run(capsys, *argv):
@@ -146,6 +146,19 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "a", "nonsense")
         assert code == EXIT_PARSE
 
+    def test_round_trip_failure(self, capsys, monkeypatch):
+        # A path algebra that replays every entry with the opposite yield
+        # cannot reproduce the tree's result.
+        def flipped(p):
+            return build_va(tuple((atom, not value) for atom, value in p))
+
+        monkeypatch.setattr(cli, "build_va", flipped)
+        code, out, err = run(capsys, "verify", "a", "[(a,T)]")
+        assert code == EXIT_NO
+        assert "result: T" in out
+        assert "path-algebra round-trip: MISMATCH" in out
+        assert err == "round-trip failure\n"
+
 
 class TestNormalize:
     def test_worked_example(self, capsys):
@@ -225,6 +238,18 @@ class TestAxioms:
         assert out == ""
         assert err.startswith("usage: sclsat axioms ")
         assert "error: argument --count: " in err
+
+    def test_check_reports_an_unsound_scheme(self, capsys, monkeypatch):
+        # x = !x holds for no x: every instance fails, and the sound scheme
+        # beside it still passes.
+        schemes = [
+            AxiomScheme("Bad-1", "EqFSCL", parse("x"), parse("!x")),
+            AxiomScheme("EqFSCL-3", "EqFSCL", parse("!!x"), parse("x")),
+        ]
+        monkeypatch.setattr(cli, "axiom_table", lambda system: schemes)
+        code, out, _ = run(capsys, "axioms", "--check", "--count", "5")
+        assert code == EXIT_NO
+        assert out.splitlines() == ["Bad-1: 0/5 FAIL", "EqFSCL-3: 5/5 ok"]
 
     def test_zero_count(self, capsys):
         code, out, _ = run(capsys, "axioms", "--system", "EqFSCL", "--check", "--count", "0")

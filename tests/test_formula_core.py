@@ -1,7 +1,11 @@
+import re
+from typing import Optional
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sclsat.formula_core import (
+    _ATOM,
     Con,
     Const,
     Dis,
@@ -22,7 +26,6 @@ from sclsat.formula_core import (
     postorder,
     render,
 )
-from sclsat import formula_core
 from sclsat.eval_tree import FALSE_LEAF, TRUE_LEAF, Branch, TreeParseError, parse_tree, se
 from sclsat.normal_form import normalize
 from sclsat.paths import PathParseError, parse_path
@@ -262,12 +265,44 @@ def nodes_reference(f):
             stack.append(node.right)
 
 
+# The position-keeping tokenizer that parse used before it read its tokens
+# with one re.findall, kept as the reference parser's own.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<and>&&)|(?P<or>\|\|)|(?P<not>!)|(?P<lpar>\()|(?P<rpar>\))"
+    rf"|(?P<word>{_ATOM}))"
+)
+
+
+def _scan(pattern: re.Pattern[str], text: str) -> tuple[list[tuple[str, str, int]], Optional[int]]:
+    """The (group name, text, position) tokens pattern matches one after
+    another from the start of text, and the position where matching stopped
+    with non-whitespace text left (None if none was left)."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = pattern.match(text, pos)
+        if match is None:
+            return tokens, pos if text[pos:].strip() else None
+        kind = match.lastgroup
+        tokens.append((kind, match.group(kind), match.start(kind)))
+        pos = match.end()
+    return tokens, None
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens, stop = _scan(_TOKEN_RE, text)
+    if stop is not None:
+        rest = text[stop:].lstrip()
+        raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
+    return tokens
+
+
 class ParserReference:
     """Recursive-descent parser for the same grammar."""
 
     def __init__(self, text):
         self.text = text
-        self.tokens = formula_core._tokenize(text)
+        self.tokens = _tokenize(text)
         self.index = 0
 
     def _peek(self):

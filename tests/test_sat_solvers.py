@@ -22,8 +22,6 @@ from sclsat.sat_solvers import (
     SatOutcome,
     _cdcl,
     _clausify,
-    _cons_to_path,
-    _lit_slot,
     _sat_fal_flags,
     check_path,
     falsify,
@@ -280,6 +278,36 @@ def tseitin_reference(f):
 
 
 
+# Verbatim copies of the guard solver's cons-list and slot helpers, so the
+# reference below shares no code with the solver it checks.
+def _cons_to_path(cell):
+    """The entries of a cons list, head first."""
+    entries = []
+    while cell is not None:
+        entries.append(cell[0])
+        cell = cell[1]
+    return tuple(entries)
+
+
+def _lit_slot(atom: str, value: bool, guard):
+    """A full continuation starting with (atom, value), or None.  When the
+    guard's atom is this atom, adjacency forces the continuation branch with
+    the same value; otherwise any available branch may follow."""
+    if guard is None:
+        return None
+    entry = (atom, value)
+    if guard is _EMPTY:
+        return (entry, None)
+    gatom, gtrue, gfalse = guard
+    if gatom == atom:
+        cont = gtrue if value else gfalse
+        if cont is None:
+            return None
+        return (entry, cont)
+    cont = gtrue if gtrue is not None else gfalse
+    return (entry, cont)
+
+
 def _make_guard_reference(atom, slot_true, slot_false):
     if slot_true is None and slot_false is None:
         return None
@@ -343,7 +371,7 @@ def sat_open_reference(logic, f):
 def sat_direct_reference(logic, f):
     """The direct solver with its trace's && and || written as mirror rules,
     before || was read through &&."""
-    flags = _sat_fal_flags(f)
+    flags = flags_reference(f)[0]
     visits = len(flags)
     if not flags[id(f)][0]:
         return SatOutcome("no", None, logic, "direct", visits, 0)

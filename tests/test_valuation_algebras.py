@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -122,6 +123,35 @@ class TestEvaluation:
         counter = fixture_algebras()["counter"]
         with pytest.raises(StateError):
             deriv_formula(counter, parse("a"), 63)
+
+    def test_atom_outside_alphabet_raises(self):
+        counter = fixture_algebras()["counter"]
+        with pytest.raises(KeyError):
+            counter.atom_eval("c", 0)
+        with pytest.raises(KeyError):
+            counter.atom_deriv("c", 0)
+        with pytest.raises(KeyError):
+            eval_formula(counter, parse("a && c"), 0)
+
+    def test_non_formula_raises(self):
+        counter = fixture_algebras()["counter"]
+        with pytest.raises(TypeError, match="not a formula: 42"):
+            eval_formula(counter, 42, 1)
+
+    def test_collatz_steps(self):
+        collatz = fixture_algebras()["collatz"]
+        # a steps the Collatz map while the orbit is above 1: 6 -> 3 -> 10.
+        assert deriv_formula(collatz, parse("a"), 6) == 3
+        assert deriv_formula(collatz, parse("a"), 3) == 10
+        assert evaluation_path(collatz, parse("a && b && a"), 6) == (
+            ("a", True),
+            ("b", False),
+        )
+        assert deriv_formula(collatz, parse("a && a && b"), 6) == 10
+        # At 1 a fails and the state stays; b reads divisibility by 4.
+        assert eval_formula(collatz, parse("a"), 1) is False
+        assert deriv_formula(collatz, parse("a"), 1) == 1
+        assert eval_formula(collatz, parse("a && b"), 8) is True
 
     def test_deep_formula_is_iterative(self):
         from sclsat.formula_core import Con, Lit, Neg
@@ -388,6 +418,13 @@ class TestSerialization:
             FiniteAlgebra(1, ("a",), {"a": (True,)}, {"a": (2,)})
         with pytest.raises(ValueError):
             FiniteAlgebra(0, (), {}, {})
+
+    @pytest.mark.parametrize("table", ["eval", "deriv"])
+    def test_rejects_tables_of_the_wrong_length(self, table):
+        payload = json.loads(build_va(FIG_PATH).to_json())
+        payload[table]["a"].pop()
+        with pytest.raises(ValueError, match=f"{table} table for 'a' has the wrong length"):
+            FiniteAlgebra.from_json(json.dumps(payload))
 
 
 class TestAlgebraClass:
