@@ -19,10 +19,12 @@ Five testers are provided:
     sat_open           se computed over guards instead of trees, in one
                        linear right-to-left pass; decides RPSCL and CSCL
     sat_boolean        classical reduction: memorizing paths are exactly the
-                       traces under a boolean assignment, so static-order
-                       CDCL, which returns the lex-greatest model, decides
-                       MSCL and SSCL; f is clausified with its asserted top
-                       as plain clauses and Tseitin gates only beneath it
+                       traces under a boolean assignment, so the lex-greatest
+                       assignment making f true decides MSCL and SSCL; the
+                       greatest, all-true, is tried first by one evaluation,
+                       and only if it fails is f clausified, with its
+                       asserted top as plain clauses and Tseitin gates only
+                       beneath it, for static-order CDCL
 
 ``solve`` dispatches by strategy, routes "auto" to the decision procedure for
 the requested logic, and verifies every witness before returning it.  It
@@ -76,10 +78,11 @@ class SatOutcome:
     work whose meaning depends on the solver: evaluation-tree nodes popped
     (brute-control, brute-force); distinct subformulas flagged plus formula
     nodes walked for the trace (direct); formula nodes popped by fold_se
-    (open); and for boolean the size of f's Tseitin encoding, 1 + distinct
-    constants + 3 x distinct binary connectives, however few clauses the
-    search is given.  leaves_explored counts the tree leaves the brute-force
-    searches reach, and is 0 elsewhere."""
+    (open); and for boolean the size of f's full Tseitin encoding, 1 +
+    distinct constants + 3 x distinct binary connectives
+    (``_atoms_and_size``), however few clauses the search is given.
+    leaves_explored counts the tree leaves the brute-force searches reach,
+    and is 0 elsewhere."""
 
     answer: str  # "yes" | "no" | "unknown"
     witness: Optional[ValuationPath]
@@ -324,12 +327,28 @@ def sat_open(logic: Logic, f: Formula) -> SatOutcome:
 
 # --- boolean solver ---------------------------------------------------------
 
+def _atoms_and_size(f: Formula) -> tuple[dict[str, int], int]:
+    """f's atoms numbered 1..k in first-occurrence post-order, and the clause
+    count of f's full Tseitin encoding: 1 + distinct constants + 3 x distinct
+    binary connectives."""
+    atom_var: dict[str, int] = {}
+    size = 1
+    for node in postorder(f):
+        if isinstance(node, Lit):
+            if node.atom not in atom_var:
+                atom_var[node.atom] = len(atom_var) + 1
+        elif isinstance(node, Const):
+            size += 1
+        elif not isinstance(node, Neg):
+            size += 3
+    return atom_var, size
+
+
 def _clausify(f: Formula) -> tuple[Optional[list[list[int]]], dict[str, int], int, int]:
     """CNF whose models are the boolean assignments making f classically true.
     Returns (clauses, atom variable map, variable count, size).  clauses is
     None when a constant refutes f outright; no clause is ever empty.  size
-    is the clause count of f's full Tseitin encoding, one unit per distinct
-    constant, three clauses per distinct binary connective and the root unit,
+    is the clause count of f's full Tseitin encoding (``_atoms_and_size``),
     whatever this encoding emits.
 
     f is asserted true top-down on an explicit stack: a negation flips the
@@ -352,16 +371,7 @@ def _clausify(f: Formula) -> tuple[Optional[list[list[int]]], dict[str, int], in
     decided, and the model's atom part is the lex-greatest assignment of the
     atoms, in this order, that makes f true.  That fixes which witness is
     found."""
-    atom_var: dict[str, int] = {}
-    size = 1
-    for node in postorder(f):
-        if isinstance(node, Lit):
-            if node.atom not in atom_var:
-                atom_var[node.atom] = len(atom_var) + 1
-        elif isinstance(node, Const):
-            size += 1
-        elif not isinstance(node, Neg):
-            size += 3
+    atom_var, size = _atoms_and_size(f)
     clauses: list[list[int]] = []
     next_var = len(atom_var)
     # The literal of each node beneath a gate, keyed by identity; gated holds
@@ -620,7 +630,7 @@ def _cdcl(clauses: list[list[int]], num_vars: int) -> Optional[dict[int, bool]]:
 
 class _StaticAlgebra:
     """The static valuation algebra of sigma: every atom constantly yields
-    sigma[atom] (false if absent) and no state changes."""
+    sigma[atom] (true if absent) and no state changes."""
 
     __slots__ = ("sigma",)
 
@@ -628,10 +638,14 @@ class _StaticAlgebra:
         self.sigma = sigma
 
     def atom_eval(self, atom: str, state: int) -> bool:
-        return self.sigma.get(atom, False)
+        return self.sigma.get(atom, True)
 
     def atom_deriv(self, atom: str, state: int) -> int:
         return state
+
+
+# The top of the lex order: every atom yields true.
+_ALL_TRUE = _StaticAlgebra({})
 
 
 def sat_boolean(logic: Logic, f: Formula) -> SatOutcome:
@@ -645,7 +659,18 @@ def sat_boolean(logic: Logic, f: Formula) -> SatOutcome:
     the full Tseitin encoding gives as well, so the witness is the one that
     encoding would give.  node_visits is the size of that full encoding.
     Decides MSCL and SSCL; a model also yields a witness for the looser
-    logics, while boolean-unsatisfiable leaves them Unknown."""
+    logics, while boolean-unsatisfiable leaves them Unknown.
+
+    The all-true assignment is tried first, in one short-circuit evaluation
+    that yields the value and the trace together; only when it makes f false
+    is f clausified and searched.  That changes no witness: all-true lies
+    above every other assignment of the atoms, and static evaluation is
+    classical, so when it makes f true it is the model's atom part, and its
+    trace is the one the search's model would give."""
+    value, _, path = _evaluate(_ALL_TRUE, f, 0, True)
+    if value:
+        size = _atoms_and_size(f)[1]
+        return SatOutcome("yes", path, logic, "boolean", size, 0)
     clauses, atom_var, num_vars, visits = _clausify(f)
     model = None if clauses is None else _cdcl(clauses, num_vars)
     if model is None:

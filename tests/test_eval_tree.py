@@ -1,8 +1,9 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sclsat.eval_tree import (
-    _TREE_TOKEN_RE,
     Branch,
     EvalTree,
     FALSE_LEAF,
@@ -61,6 +62,13 @@ def se_reference(f):
     if isinstance(f, Con):
         return substitute(se_reference(f.left), se_reference(f.right), FALSE_LEAF)
     return substitute(se_reference(f.left), TRUE_LEAF, se_reference(f.right))
+
+
+# A verbatim copy of parse_tree's token pattern, so the reference below
+# shares no tokenizer with the parser it checks.
+_TREE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<lpar>\()|(?P<rpar>\))|(?P<lt><)|(?P<gt>>)|(?P<word>[A-Za-z_][A-Za-z0-9_]*))"
+)
 
 
 def parse_tree_reference(text):

@@ -15,11 +15,12 @@ from hypothesis import example, given, settings
 from sclsat.eval_tree import leaf_profile, se
 from sclsat import sat_solvers
 from sclsat.formula_core import Con, Const, Dis, Formula, Lit, Neg, node_count, parse, postorder
-from sclsat.paths import is_memorizing
+from sclsat.paths import PathDiscipline, is_memorizing
 from sclsat.sat_solvers import (
     _EMPTY,
     Logic,
     SatOutcome,
+    _StaticAlgebra,
     _cdcl,
     _clausify,
     _sat_fal_flags,
@@ -34,6 +35,7 @@ from sclsat.sat_solvers import (
     verify_witness,
 )
 from sclsat.formula_core import enumerate_formulas, is_constant_free
+from sclsat.valuation_algebras import eval_formula, evaluation_path
 
 from test_formula_core import NOT_FORMULAS, formulas
 
@@ -1021,3 +1023,71 @@ class TestClausifyShapes:
                 assert len(clauses) <= 4 * (depth + 1)
                 assert sum(map(len, clauses)) <= 9 * (depth + 1)
             assert_matches_tseitin(f)
+
+
+# --- the all-true assignment tried before any search ---
+
+def sat_boolean_search(logic, f):
+    """sat_boolean before it tried the all-true assignment first: every
+    formula is clausified and searched."""
+    clauses, atom_var, num_vars, visits = _clausify(f)
+    model = None if clauses is None else _cdcl(clauses, num_vars)
+    if model is None:
+        if logic.discipline is PathDiscipline.MEMORIZING:
+            return SatOutcome("no", None, logic, "boolean", visits, 0)
+        return SatOutcome("unknown", None, logic, "boolean", visits, 0)
+    sigma = {atom: model[var] for atom, var in atom_var.items()}
+    # The trace under sigma, memorizing by construction.
+    path = evaluation_path(_StaticAlgebra(sigma), f, 0)
+    return SatOutcome("yes", path, logic, "boolean", visits, 0)
+
+
+def _no_clausify(f):
+    raise AssertionError("_clausify was called")
+
+
+class TestAllTrueFirst:
+    def test_premise_on_suite(self):
+        # Where all-true makes f true, it is the search's atom assignment.
+        hits = 0
+        for f in SUITE:
+            clauses, atom_var, num_vars, _ = _clausify(f)
+            all_true = _StaticAlgebra(dict.fromkeys(atom_var, True))
+            if not eval_formula(all_true, f, 0):
+                continue
+            hits += 1
+            model = _cdcl(clauses, num_vars)
+            assert all(model[var] for var in atom_var.values())
+            out = sat_boolean(Logic.MSCL, f)
+            assert out.witness == evaluation_path(all_true, f, 0)
+            assert out.node_visits == len(tseitin_reference(f)[0])
+        assert hits == 14167
+
+    def test_hit_runs_no_search(self, monkeypatch):
+        monkeypatch.setattr(sat_solvers, "_clausify", _no_clausify)
+        monkeypatch.setattr(sat_solvers, "_cdcl", _no_search)
+        out = sat_boolean(Logic.MSCL, parse("a && (b || !c)"))
+        assert out.answer == "yes"
+        assert out.witness == (("a", True), ("b", True))
+        assert out.node_visits == 1 + 3 * 2
+
+    def test_miss_searches(self, monkeypatch):
+        calls = []
+        for name in ("_clausify", "_cdcl"):
+            def spy(*args, name=name, real=getattr(sat_solvers, name)):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(sat_solvers, name, spy)
+        out = sat_boolean(Logic.MSCL, parse("a && !b"))
+        assert out.witness == (("a", True), ("b", False))
+        assert calls == ["_clausify", "_cdcl"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(formulas(atoms=("a", "b", "c", "d"), max_leaves=20).filter(lambda f: node_count(f) <= 40))
+    @example(parse("a && (b || !c)"))
+    @example(parse("a && !b"))
+    def test_matches_search_on_random(self, f):
+        for logic in ALL_LOGICS:
+            assert sat_boolean(logic, f) == sat_boolean_search(logic, f)
+        for logic in (Logic.MSCL, Logic.SSCL):
+            assert falsify(logic, f) == sat_boolean_search(logic, Neg(f))
