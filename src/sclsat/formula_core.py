@@ -11,20 +11,22 @@ distinct node once, keyed by identity, children before their parent and the
 left operand first; it raises TypeError on a node that is not a formula.  A
 fold keeps one value per node in a dict keyed by ``id(node)``, so shared
 subterms are computed once and deep formulas need no recursion.  The
-solvers' flag pass, the boolean encoder's atom numbering and gates, and the
-axiom instantiation are folds of the same kind; the gates are defined by
-walks that share one set of entered nodes, so each node is defined once.
-The functions ``parse`` and ``render`` keep explicit stacks of their own,
-because text is read and written top-down.  ``parse`` splits its text with
-one token pattern and ``re.findall``; only on an error does it run the same
-pattern again with positions, to say where.  Atom names follow one pattern,
+solvers' flag pass, the boolean encoder's gates, and the axiom
+instantiation are folds of the same kind; the gates are defined by walks
+that share one set of entered nodes, so each node is defined once.  The
+functions ``parse`` and ``render`` keep explicit stacks of their own,
+because text is read and written top-down, and so does the boolean
+solver's atom and size count (``sat_solvers._atoms_and_size``), which runs
+on every MSCL and SSCL call and costs half a generator fold.  ``parse``
+splits its text with one token pattern and ``re.findall``; only on an error
+does it run the same pattern again with positions, to say where.  Atom names follow one pattern,
 ``_ATOM``; ``ATOM_PATTERN``, the formula token pattern, the word-start
 characters and the tree and path readers (``eval_tree.parse_tree``,
 ``paths.parse_path``) are all built from it.
 
-Nodes are slotted classes, immutable by convention, whose ``==``, ``hash``
-and ``repr`` run on explicit stacks (see ``_Node``); ``eval_tree``'s Leaf
-and Branch share the base.
+Nodes are slotted classes, immutable by convention, whose ``==``, ``hash``,
+``repr`` and pickling run on explicit stacks (see ``_Node``); ``eval_tree``'s
+Leaf and Branch share the base.
 """
 
 from __future__ import annotations
@@ -52,7 +54,9 @@ class _Node:
     explicit stacks, so deep nodes need no recursion.  ``==`` compares nodes
     of the same class field by field, each pair of subnodes once; ``hash``
     is computed from the class and fields on first use and cached, so equal
-    nodes hash equal; ``repr`` gives the dataclass text."""
+    nodes hash equal; ``repr`` gives the dataclass text.  A pickle holds one
+    flat table of the distinct nodes, so sharing survives it, and ``copy``
+    and ``deepcopy`` return the node itself."""
 
     __slots__ = ("_hash",)
 
@@ -117,9 +121,50 @@ class _Node:
         return "".join(parts)
 
     def __reduce__(self) -> tuple:
-        # Rebuilt from the fields alone: a cached hash of a string is only
-        # valid in the process that computed it.
-        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+        # A flat table, so deep nodes pickle without recursion: each distinct
+        # node once, children first, as its class followed by its fields,
+        # every subnode replaced by its position among the nodes.  Rebuilt
+        # from the fields alone: a cached hash of a string is only valid in
+        # the process that computed it.
+        index: dict[int, int] = {}
+        table: list = []
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            if id(node) in index:
+                stack.pop()
+                continue
+            values = [getattr(node, name) for name in node.__slots__]
+            pending = [v for v in values if isinstance(v, _Node) and id(v) not in index]
+            if pending:
+                stack += reversed(pending)
+                continue
+            stack.pop()
+            index[id(node)] = len(index)
+            table.append(node.__class__)
+            table += [index[id(v)] if isinstance(v, _Node) else v for v in values]
+        return _rebuild, (table,)
+
+    # Immutable by convention, so a copy may be the node itself.
+    def __copy__(self) -> "_Node":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "_Node":
+        return self
+
+
+def _rebuild(table: list) -> _Node:
+    """The last node of a ``_Node.__reduce__`` table.  A field of plain class
+    int is the position of a subnode; node fields hold only nodes, bools and
+    strings."""
+    nodes: list[_Node] = []
+    i = 0
+    while i < len(table):
+        cls = table[i]
+        end = i + 1 + len(cls.__slots__)
+        nodes.append(cls(*[nodes[v] if v.__class__ is int else v for v in table[i + 1:end]]))
+        i = end
+    return nodes[-1]
 
 
 class Const(_Node):

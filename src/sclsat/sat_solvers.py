@@ -22,7 +22,8 @@ Five testers are provided:
                        traces under a boolean assignment, so the lex-greatest
                        assignment making f true decides MSCL and SSCL; the
                        greatest, all-true, is tried first by one evaluation,
-                       and only if it fails is f clausified, with its
+                       then, on one atom, that atom false by a second; only
+                       a miss on two or more atoms is clausified, with its
                        asserted top as plain clauses and Tseitin gates only
                        beneath it, for static-order CDCL
 
@@ -328,27 +329,47 @@ def sat_open(logic: Logic, f: Formula) -> SatOutcome:
 # --- boolean solver ---------------------------------------------------------
 
 def _atoms_and_size(f: Formula) -> tuple[dict[str, int], int]:
-    """f's atoms numbered 1..k in first-occurrence post-order, and the clause
-    count of f's full Tseitin encoding: 1 + distinct constants + 3 x distinct
-    binary connectives."""
+    """f's atoms numbered 1..k in first-occurrence post-order, which is their
+    left-to-right leaf order, and the clause count of f's full Tseitin
+    encoding: 1 + distinct constants + 3 x distinct binary connectives.  One
+    pre-order walk on an explicit stack, entering each distinct node once by
+    identity; raises TypeError on a node that is not a formula."""
     atom_var: dict[str, int] = {}
     size = 1
-    for node in postorder(f):
-        if isinstance(node, Lit):
+    entered: set[int] = set()
+    stack: list[Formula] = [f]
+    while stack:
+        node = stack.pop()
+        cls = node.__class__
+        if cls is Lit:
             if node.atom not in atom_var:
                 atom_var[node.atom] = len(atom_var) + 1
-        elif isinstance(node, Const):
-            size += 1
-        elif not isinstance(node, Neg):
+        elif id(node) in entered:
+            continue
+        elif cls is Neg:
+            entered.add(id(node))
+            stack.append(node.inner)
+        elif cls is Con or cls is Dis:
+            entered.add(id(node))
             size += 3
+            stack.append(node.right)
+            stack.append(node.left)
+        elif cls is Const:
+            entered.add(id(node))
+            size += 1
+        else:
+            raise TypeError(f"not a formula: {node!r}")
     return atom_var, size
 
 
-def _clausify(f: Formula) -> tuple[Optional[list[list[int]]], dict[str, int], int, int]:
+def _clausify(
+    f: Formula, count: Optional[tuple[dict[str, int], int]] = None
+) -> tuple[Optional[list[list[int]]], dict[str, int], int, int]:
     """CNF whose models are the boolean assignments making f classically true.
     Returns (clauses, atom variable map, variable count, size).  clauses is
-    None when a constant refutes f outright; no clause is ever empty.  size
-    is the clause count of f's full Tseitin encoding (``_atoms_and_size``),
+    None when a constant refutes f outright; no clause is ever empty.  The
+    atom map and size are ``_atoms_and_size(f)``, taken from count when the
+    caller has it; size is the clause count of f's full Tseitin encoding,
     whatever this encoding emits.
 
     f is asserted true top-down on an explicit stack: a negation flips the
@@ -371,7 +392,7 @@ def _clausify(f: Formula) -> tuple[Optional[list[list[int]]], dict[str, int], in
     decided, and the model's atom part is the lex-greatest assignment of the
     atoms, in this order, that makes f true.  That fixes which witness is
     found."""
-    atom_var, size = _atoms_and_size(f)
+    atom_var, size = count if count is not None else _atoms_and_size(f)
     clauses: list[list[int]] = []
     next_var = len(atom_var)
     # The literal of each node beneath a gate, keyed by identity; gated holds
@@ -661,26 +682,35 @@ def sat_boolean(logic: Logic, f: Formula) -> SatOutcome:
     Decides MSCL and SSCL; a model also yields a witness for the looser
     logics, while boolean-unsatisfiable leaves them Unknown.
 
-    The all-true assignment is tried first, in one short-circuit evaluation
-    that yields the value and the trace together; only when it makes f false
-    is f clausified and searched.  That changes no witness: all-true lies
-    above every other assignment of the atoms, and static evaluation is
+    The lex order is walked from the top by short-circuit evaluation, which
+    yields the value and the trace together, before any search.  All-true
+    lies above every other assignment of the atoms, and static evaluation is
     classical, so when it makes f true it is the model's atom part, and its
-    trace is the one the search's model would give."""
+    trace is the one the search's model would give.  When it fails and f
+    has one atom, the only assignment left sets that atom false: one more
+    evaluation under it either gives the model's trace or shows that no
+    model exists, as does the first failure when f has no atom.  Only a
+    miss on two or more atoms is clausified and searched."""
     value, _, path = _evaluate(_ALL_TRUE, f, 0, True)
+    count = _atoms_and_size(f)
+    atom_var, size = count
+    if not value and len(atom_var) == 1:
+        value, _, path = _evaluate(_StaticAlgebra(dict.fromkeys(atom_var, False)), f, 0, True)
     if value:
-        size = _atoms_and_size(f)[1]
         return SatOutcome("yes", path, logic, "boolean", size, 0)
-    clauses, atom_var, num_vars, visits = _clausify(f)
-    model = None if clauses is None else _cdcl(clauses, num_vars)
+    if len(atom_var) <= 1:
+        model = None
+    else:
+        clauses, _, num_vars, _ = _clausify(f, count)
+        model = None if clauses is None else _cdcl(clauses, num_vars)
     if model is None:
         if logic.discipline is PathDiscipline.MEMORIZING:
-            return SatOutcome("no", None, logic, "boolean", visits, 0)
-        return SatOutcome("unknown", None, logic, "boolean", visits, 0)
+            return SatOutcome("no", None, logic, "boolean", size, 0)
+        return SatOutcome("unknown", None, logic, "boolean", size, 0)
     sigma = {atom: model[var] for atom, var in atom_var.items()}
     # The trace under sigma, memorizing by construction.
     path = evaluation_path(_StaticAlgebra(sigma), f, 0)
-    return SatOutcome("yes", path, logic, "boolean", visits, 0)
+    return SatOutcome("yes", path, logic, "boolean", size, 0)
 
 
 # --- dispatcher -------------------------------------------------------------

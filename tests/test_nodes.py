@@ -8,7 +8,11 @@ import random
 from dataclasses import dataclass, fields
 from typing import Union
 
+import pytest
+
 from sclsat import eval_tree, formula_core
+
+from test_formula_core import _criterion_10_chain
 
 
 @dataclass(frozen=True)
@@ -123,3 +127,52 @@ def test_copies_and_pickles_compare_equal():
         assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
     t = eval_tree.se(f)
     assert pickle.loads(pickle.dumps(t)) == t
+
+
+@pytest.mark.parametrize("make", [
+    _criterion_10_chain,
+    lambda: formula_core.parse("!" * 3000 + "a"),
+    lambda: formula_core.parse(" && ".join(f"x{i}" for i in range(1200))),
+], ids=["chain_10000", "negations_3000", "flat_chain_1200"])
+def test_deep_copies_and_pickles(make):
+    # Deeper than the recursion limit: the pickle is one flat table, and a
+    # copy is the node itself.
+    f = make()
+    assert copy.copy(f) is f and copy.deepcopy(f) is f
+    g = pickle.loads(pickle.dumps(f))
+    assert g is not f and g == f and hash(g) == hash(f)
+    t = eval_tree.se(f)
+    assert pickle.loads(pickle.dumps(t)) == t
+
+
+def distinct_nodes(node):
+    seen = {}
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen[id(n)] = n
+            stack += [getattr(n, name) for name in n.__slots__ if isinstance(getattr(n, name), formula_core._Node)]
+    return len(seen)
+
+
+def test_pickle_keeps_sharing():
+    # se of the n = 12 chain (a0 || b0) && ... has 8,191 leaves but 26
+    # distinct nodes; its pickle held 377 bytes when each node reduced to
+    # its class and fields.
+    f = formula_core.parse(" && ".join(f"(a{i} || b{i})" for i in range(12)))
+    t = eval_tree.se(f)
+    data = pickle.dumps(t, protocol=4)
+    assert len(data) <= 377
+    u = pickle.loads(data)
+    assert u == t and distinct_nodes(u) == distinct_nodes(t) == 26
+    s = formula_core.Con(formula_core.Lit("a"), formula_core.Lit("b"))
+    shared = pickle.loads(pickle.dumps(formula_core.Dis(s, formula_core.Neg(s))))
+    assert shared.left is shared.right.inner
+
+
+def test_suite_pickles_back():
+    for f in SUITE[::7]:
+        t = eval_tree.se(f)
+        assert repr(pickle.loads(pickle.dumps(f))) == repr(f)
+        assert repr(pickle.loads(pickle.dumps(t))) == repr(t)

@@ -17,10 +17,12 @@ from sclsat import sat_solvers
 from sclsat.formula_core import Con, Const, Dis, Formula, Lit, Neg, node_count, parse, postorder
 from sclsat.paths import PathDiscipline, is_memorizing
 from sclsat.sat_solvers import (
+    _ALL_TRUE,
     _EMPTY,
     Logic,
     SatOutcome,
     _StaticAlgebra,
+    _atoms_and_size,
     _cdcl,
     _clausify,
     _sat_fal_flags,
@@ -37,7 +39,7 @@ from sclsat.sat_solvers import (
 from sclsat.formula_core import enumerate_formulas, is_constant_free
 from sclsat.valuation_algebras import eval_formula, evaluation_path
 
-from test_formula_core import NOT_FORMULAS, formulas
+from test_formula_core import NOT_FORMULAS, _criterion_10_chain, formulas
 
 ALL_LOGICS = list(Logic)
 SMALL_SUITE = list(enumerate_formulas(["a", "b"], 5))
@@ -1091,3 +1093,99 @@ class TestAllTrueFirst:
             assert sat_boolean(logic, f) == sat_boolean_search(logic, f)
         for logic in (Logic.MSCL, Logic.SSCL):
             assert falsify(logic, f) == sat_boolean_search(logic, Neg(f))
+
+
+# --- one-atom misses settled by a second evaluation, and one count per call ---
+
+def _raise_if_searched(*args):
+    raise AssertionError("_clausify or _cdcl was called")
+
+
+def suite_misses():
+    """The suite formulas all-true makes false, with their atom counts."""
+    for f in SUITE:
+        if not eval_formula(_ALL_TRUE, f, 0):
+            yield f, len(tseitin_reference(f)[1])
+
+
+class TestFewAtomMisses:
+    @pytest.mark.parametrize("text, answers, witness", [
+        ("!a", dict.fromkeys(ALL_LOGICS, "yes"), (("a", False),)),
+        ("!" * 3001 + "a", dict.fromkeys(ALL_LOGICS, "yes"), (("a", False),)),
+        ("a && !a", {Logic.FSCL: "unknown", Logic.RPSCL: "unknown", Logic.CSCL: "unknown",
+                     Logic.MSCL: "no", Logic.SSCL: "no"}, None),
+        ("F", {logic: "no" if logic.discipline is PathDiscipline.MEMORIZING else "unknown"
+               for logic in ALL_LOGICS}, None),
+        ("!T", {logic: "no" if logic.discipline is PathDiscipline.MEMORIZING else "unknown"
+                for logic in ALL_LOGICS}, None),
+    ], ids=["neg_atom", "negations_3001", "contradiction", "false", "not_true"])
+    def test_answered_without_search(self, text, answers, witness, monkeypatch):
+        f = parse(text)
+        monkeypatch.setattr(sat_solvers, "_clausify", _raise_if_searched)
+        monkeypatch.setattr(sat_solvers, "_cdcl", _raise_if_searched)
+        for logic in ALL_LOGICS:
+            out = sat_boolean(logic, f)
+            assert out.answer == answers[logic]
+            assert out.witness == witness
+            assert out.node_visits == len(tseitin_reference(f)[0])
+
+    def test_miss_counts_on_suite(self):
+        # Beside the 14,167 hits: 4,762 misses on one atom and 1,139 on
+        # none are settled without a search, and 2,072 on two atoms search.
+        counts = {}
+        for _, atoms in suite_misses():
+            counts[atoms] = counts.get(atoms, 0) + 1
+        assert counts == {0: 1139, 1: 4762, 2: 2072}
+
+    def test_misses_match_search(self):
+        for f, _ in suite_misses():
+            for logic in ALL_LOGICS:
+                assert sat_boolean(logic, f) == sat_boolean_search(logic, f)
+
+
+class TestSingleCount:
+    @pytest.mark.parametrize("text", ["a && (b || !c)", "!a", "a && !b"],
+                             ids=["hit", "one_atom_miss", "two_atom_miss"])
+    def test_one_count_per_call(self, text, monkeypatch):
+        calls = []
+
+        def spy(*args, real=_atoms_and_size):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sat_solvers, "_atoms_and_size", spy)
+        f = parse(text)
+        for logic in (Logic.MSCL, Logic.FSCL):
+            del calls[:]
+            sat_boolean(logic, f)
+            assert len(calls) == 1
+
+    def assert_matches_reference(self, f):
+        # tseitin_reference's clauses are the full encoding, and its atoms
+        # come in first-occurrence post-order.
+        clauses, atom_var, _ = tseitin_reference(f)
+        atoms, size = _atoms_and_size(f)
+        assert list(atoms.items()) == [(atom, i + 1) for i, atom in enumerate(atom_var)]
+        assert size == len(clauses)
+
+    def test_suite(self):
+        for f in SUITE:
+            self.assert_matches_reference(f)
+
+    # Deeper than the recursion limit: criterion 10's chain (a miss on 5,000
+    # atoms), 3,000 negations of one atom and the flat 1,200-atom chain.
+    @pytest.mark.parametrize("make", [
+        _criterion_10_chain, lambda: parse("!" * 3000 + "a"),
+        lambda: parse(" && ".join(f"x{i}" for i in range(1200))),
+    ], ids=["chain_10000", "negations_3000", "flat_chain_1200"])
+    def test_deep_inputs(self, make):
+        self.assert_matches_reference(make())
+
+    @pytest.mark.parametrize("kinds", [("&&",), ("||", "!&&")])
+    def test_shared_dags(self, kinds):
+        self.assert_matches_reference(shared_dag(kinds, 60))
+
+    @pytest.mark.parametrize("node", NOT_FORMULAS + [se(parse("a"))], ids=["int", "int_operand", "tree"])
+    def test_non_formula_raises_type_error(self, node):
+        with pytest.raises(TypeError, match="not a formula"):
+            _atoms_and_size(node)
