@@ -20,12 +20,10 @@ Five testers are provided:
                        linear right-to-left pass; decides RPSCL and CSCL
     sat_boolean        classical reduction: memorizing paths are exactly the
                        traces under a boolean assignment, so the lex-greatest
-                       assignment making f true decides MSCL and SSCL; the
-                       greatest, all-true, is tried first by one evaluation,
-                       then, on one atom, that atom false by a second; only
-                       a miss on two or more atoms is clausified, with its
-                       asserted top as plain clauses and Tseitin gates only
-                       beneath it, for static-order CDCL
+                       assignment making f true decides MSCL and SSCL; it is
+                       found by evaluating the assignments in descending lex
+                       order, and past four atoms, after all-true, by
+                       static-order CDCL
 
 ``solve`` dispatches by strategy, routes "auto" to the decision procedure for
 the requested logic, and verifies every witness before returning it.  It
@@ -39,6 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import product
 from typing import Callable, Optional
 
 from .eval_tree import EvalTree, Leaf, fold_se, se
@@ -668,37 +667,39 @@ class _StaticAlgebra:
 # The top of the lex order: every atom yields true.
 _ALL_TRUE = _StaticAlgebra({})
 
+# The most atoms whose assignments are walked without a search.
+_WALK_ATOMS = 4
+
 
 def sat_boolean(logic: Logic, f: Formula) -> SatOutcome:
     """Reduce to classical satisfiability: a memorizing true trace exists
-    exactly when some boolean assignment makes f classically true, and
-    static-order CDCL, which returns the lex-greatest model, finds one.
-    ``_clausify`` asserts f's top directly and names only the subformulas
-    beneath it by Tseitin gates; a constant that refutes f answers without a
-    search.  The model's atom part is the lex-greatest assignment of the
-    atoms, in first-occurrence post-order, that makes f true, which is what
-    the full Tseitin encoding gives as well, so the witness is the one that
-    encoding would give.  node_visits is the size of that full encoding.
-    Decides MSCL and SSCL; a model also yields a witness for the looser
-    logics, while boolean-unsatisfiable leaves them Unknown.
+    exactly when some boolean assignment makes f classically true.  The
+    witness is the trace of the lex-greatest such assignment, with atoms
+    numbered in first-occurrence post-order and true above false; static
+    evaluation is classical and gives value and trace in one pass.
+    node_visits is the size of f's full Tseitin encoding.  Decides MSCL and
+    SSCL; a model also yields a witness for the looser logics, while
+    boolean-unsatisfiable leaves them Unknown.
 
-    The lex order is walked from the top by short-circuit evaluation, which
-    yields the value and the trace together, before any search.  All-true
-    lies above every other assignment of the atoms, and static evaluation is
-    classical, so when it makes f true it is the model's atom part, and its
-    trace is the one the search's model would give.  When it fails and f
-    has one atom, the only assignment left sets that atom false: one more
-    evaluation under it either gives the model's trace or shows that no
-    model exists, as does the first failure when f has no atom.  Only a
-    miss on two or more atoms is clausified and searched."""
+    The assignments are walked in descending lex order, all-true first.  The
+    first that makes f true is the atom part of the lex-greatest model that
+    static-order CDCL finds on ``_clausify``'s encoding, and an exhausted
+    walk means that no model exists.  On more than ``_WALK_ATOMS`` atoms
+    only all-true is tried, and a miss is clausified, with its asserted top
+    as plain clauses and Tseitin gates only beneath it, and searched."""
     value, _, path = _evaluate(_ALL_TRUE, f, 0, True)
     count = _atoms_and_size(f)
     atom_var, size = count
-    if not value and len(atom_var) == 1:
-        value, _, path = _evaluate(_StaticAlgebra(dict.fromkeys(atom_var, False)), f, 0, True)
+    if not value and len(atom_var) <= _WALK_ATOMS:
+        candidates = product((True, False), repeat=len(atom_var))
+        next(candidates)  # all-true, tried above
+        for values in candidates:
+            value, _, path = _evaluate(_StaticAlgebra(dict(zip(atom_var, values))), f, 0, True)
+            if value:
+                break
     if value:
         return SatOutcome("yes", path, logic, "boolean", size, 0)
-    if len(atom_var) <= 1:
+    if len(atom_var) <= _WALK_ATOMS:
         model = None
     else:
         clauses, _, num_vars, _ = _clausify(f, count)

@@ -31,14 +31,21 @@ from sclsat.normal_form import normalize
 from sclsat.paths import PathParseError, parse_path
 
 
-def formulas(atoms=("a", "b", "c"), max_leaves=8):
-    leaf = st.one_of(
-        st.just(TRUE),
-        st.just(FALSE),
-        st.sampled_from([Lit(a) for a in atoms]),
-    )
+def formulas(atoms=("a", "b", "c"), max_leaves=8, pinned=False):
+    """Random formulas over atoms and both constants.  With pinned, a leaf
+    may also be a && F, a || T or !(a || T) for an atom a: subformulas with
+    atoms that FSCL cannot satisfy or cannot falsify, which plain draws
+    seldom build."""
+    lits = st.sampled_from([Lit(a) for a in atoms])
+    leaves = [st.just(TRUE), st.just(FALSE), lits]
+    if pinned:
+        leaves += [
+            st.builds(lambda a: Con(a, FALSE), lits),
+            st.builds(lambda a: Dis(a, TRUE), lits),
+            st.builds(lambda a: Neg(Dis(a, TRUE)), lits),
+        ]
     return st.recursive(
-        leaf,
+        st.one_of(*leaves),
         lambda sub: st.one_of(
             st.builds(Neg, sub),
             st.builds(Con, sub, sub),

@@ -36,6 +36,7 @@ from sclsat.sat_solvers import (
     solve,
     verify_witness,
 )
+from sclsat.cli import _random_formula
 from sclsat.formula_core import enumerate_formulas, is_constant_free
 from sclsat.valuation_algebras import eval_formula, evaluation_path
 
@@ -464,6 +465,20 @@ class TestUnchangedOnSuite:
     @example(parse("!((a || T) && (b || c) && d)"))
     @example(parse("!(!(a && b && F) && (c || !d))"))
     def test_direct_matches_reference_on_random(self, f):
+        for logic in ALL_LOGICS:
+            assert sat_direct(logic, f) == sat_direct_reference(logic, f)
+
+    # Pinned leaves reach the trace case where the left operand cannot
+    # short-circuit and both operands enter the trace.
+    @settings(max_examples=300, deadline=None)
+    @given(formulas(atoms=("a", "b", "c", "d"), max_leaves=20, pinned=True).filter(lambda f: node_count(f) <= 40))
+    def test_open_matches_reference_on_pinned(self, f):
+        for logic in ALL_LOGICS:
+            assert sat_open(logic, f) == sat_open_reference(logic, f)
+
+    @settings(max_examples=300, deadline=None)
+    @given(formulas(atoms=("a", "b", "c", "d"), max_leaves=20, pinned=True).filter(lambda f: node_count(f) <= 40))
+    def test_direct_matches_reference_on_pinned(self, f):
         for logic in ALL_LOGICS:
             assert sat_direct(logic, f) == sat_direct_reference(logic, f)
 
@@ -1074,20 +1089,24 @@ class TestAllTrueFirst:
         assert out.node_visits == 1 + 3 * 2
 
     def test_miss_searches(self, monkeypatch):
+        # Past _WALK_ATOMS atoms a miss is clausified and searched once.
         calls = []
         for name in ("_clausify", "_cdcl"):
             def spy(*args, name=name, real=getattr(sat_solvers, name)):
                 calls.append(name)
                 return real(*args)
             monkeypatch.setattr(sat_solvers, name, spy)
-        out = sat_boolean(Logic.MSCL, parse("a && !b"))
-        assert out.witness == (("a", True), ("b", False))
+        out = sat_boolean(Logic.MSCL, parse("a && b && c && d && !e"))
+        assert out.witness == (("a", True), ("b", True), ("c", True), ("d", True), ("e", False))
         assert calls == ["_clausify", "_cdcl"]
 
+    # Up to six atoms, so both sides of _WALK_ATOMS are drawn.
     @settings(max_examples=300, deadline=None)
-    @given(formulas(atoms=("a", "b", "c", "d"), max_leaves=20).filter(lambda f: node_count(f) <= 40))
+    @given(formulas(atoms=tuple("abcdef"), max_leaves=20).filter(lambda f: node_count(f) <= 40))
     @example(parse("a && (b || !c)"))
     @example(parse("a && !b"))
+    @example(parse("!a && !b && !c && !d"))
+    @example(parse("a && b && c && d && !e"))
     def test_matches_search_on_random(self, f):
         for logic in ALL_LOGICS:
             assert sat_boolean(logic, f) == sat_boolean_search(logic, f)
@@ -1095,7 +1114,7 @@ class TestAllTrueFirst:
             assert falsify(logic, f) == sat_boolean_search(logic, Neg(f))
 
 
-# --- one-atom misses settled by a second evaluation, and one count per call ---
+# --- misses on at most _WALK_ATOMS atoms settled by the walk, one count per call ---
 
 def _raise_if_searched(*args):
     raise AssertionError("_clausify or _cdcl was called")
@@ -1118,7 +1137,13 @@ class TestFewAtomMisses:
                for logic in ALL_LOGICS}, None),
         ("!T", {logic: "no" if logic.discipline is PathDiscipline.MEMORIZING else "unknown"
                 for logic in ALL_LOGICS}, None),
-    ], ids=["neg_atom", "negations_3001", "contradiction", "false", "not_true"])
+        ("a && !b", dict.fromkeys(ALL_LOGICS, "yes"), (("a", True), ("b", False))),
+        ("!a && !b && !c && !d", dict.fromkeys(ALL_LOGICS, "yes"),
+         (("a", False), ("b", False), ("c", False), ("d", False))),
+        ("a && b && c && d && !d", {logic: "no" if logic.discipline is PathDiscipline.MEMORIZING
+                                    else "unknown" for logic in ALL_LOGICS}, None),
+    ], ids=["neg_atom", "negations_3001", "contradiction", "false", "not_true",
+            "two_atoms", "four_atoms_last", "four_atoms_unsat"])
     def test_answered_without_search(self, text, answers, witness, monkeypatch):
         f = parse(text)
         monkeypatch.setattr(sat_solvers, "_clausify", _raise_if_searched)
@@ -1130,8 +1155,8 @@ class TestFewAtomMisses:
             assert out.node_visits == len(tseitin_reference(f)[0])
 
     def test_miss_counts_on_suite(self):
-        # Beside the 14,167 hits: 4,762 misses on one atom and 1,139 on
-        # none are settled without a search, and 2,072 on two atoms search.
+        # Beside the 14,167 hits, the walk settles every miss without a
+        # search: 1,139 on no atom, 4,762 on one and 2,072 on two.
         counts = {}
         for _, atoms in suite_misses():
             counts[atoms] = counts.get(atoms, 0) + 1
@@ -1143,9 +1168,80 @@ class TestFewAtomMisses:
                 assert sat_boolean(logic, f) == sat_boolean_search(logic, f)
 
 
+# --- walked answers certified by a classical evaluator of its own ---
+
+def classical(f, sigma, trace):
+    """f's classical value under sigma; appends to trace each (atom, value)
+    that left-to-right short-circuit evaluation inspects."""
+    if isinstance(f, Const):
+        return f.value
+    if isinstance(f, Lit):
+        trace.append((f.atom, sigma[f.atom]))
+        return sigma[f.atom]
+    if isinstance(f, Neg):
+        return not classical(f.inner, sigma, trace)
+    left = classical(f.left, sigma, trace)
+    if left == isinstance(f, Dis):
+        return left
+    return classical(f.right, sigma, trace)
+
+
+def leaf_order_atoms(f, atoms):
+    """Appends f's atoms to atoms in left-to-right order of first occurrence."""
+    if isinstance(f, Lit):
+        if f.atom not in atoms:
+            atoms.append(f.atom)
+    elif isinstance(f, Neg):
+        leaf_order_atoms(f.inner, atoms)
+    elif not isinstance(f, Const):
+        leaf_order_atoms(f.left, atoms)
+        leaf_order_atoms(f.right, atoms)
+    return atoms
+
+
+def lex_greatest_trace(f):
+    """The trace of the lex-greatest assignment making f true, or None: the
+    assignments as the numbers 2^k - 1 down to 0, the first atom the highest
+    bit and 1 for true."""
+    atoms = leaf_order_atoms(f, [])
+    k = len(atoms)
+    for number in range(2 ** k - 1, -1, -1):
+        sigma = {atom: bool(number >> (k - 1 - i) & 1) for i, atom in enumerate(atoms)}
+        trace = []
+        if classical(f, sigma, trace):
+            return tuple(trace)
+    return None
+
+
+class TestWalkCertified:
+    def test_answers_match_oracle(self, monkeypatch):
+        # Searching is an error: every formula here has at most four atoms.
+        monkeypatch.setattr(sat_solvers, "_clausify", _raise_if_searched)
+        monkeypatch.setattr(sat_solvers, "_cdcl", _raise_if_searched)
+        rng = random.Random(22)
+        seeded = [_random_formula(rng, ["a", "b", "c", "d"], rng.randint(3, 40)) for _ in range(2000)]
+        at_four = {"yes": 0, "no": 0}
+        fscl_no = 0
+        for f in itertools.chain(SUITE, seeded):
+            expected = lex_greatest_trace(f)
+            out = sat_boolean(Logic.MSCL, f)
+            if out.answer == "no":
+                assert expected is None
+            else:
+                assert out.answer == "yes" and out.witness == expected
+            if len(leaf_order_atoms(f, [])) == 4:
+                at_four[out.answer] += 1
+            if solve(Logic.FSCL, f).answer == "no":
+                fscl_no += 1
+                assert not leaf_profile(se(f)).has_true
+        # 482 yes and 136 no at four atoms; 5,887 FSCL "no" in all.
+        assert at_four == {"yes": 482, "no": 136}
+        assert fscl_no == 5887
+
+
 class TestSingleCount:
-    @pytest.mark.parametrize("text", ["a && (b || !c)", "!a", "a && !b"],
-                             ids=["hit", "one_atom_miss", "two_atom_miss"])
+    @pytest.mark.parametrize("text", ["a && (b || !c)", "!a", "a && !b", "a && b && c && d && !e"],
+                             ids=["hit", "one_atom_miss", "two_atom_miss", "five_atom_miss"])
     def test_one_count_per_call(self, text, monkeypatch):
         calls = []
 
