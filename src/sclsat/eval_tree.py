@@ -16,8 +16,10 @@ once.  Trees may share subtrees.  se(f) returns a shared DAG, equal under
 ``==`` to the tree, with O(|f|) distinct nodes where the tree itself can
 have exponentially many leaves.  substitute, depth and leaf_profile run on
 _fold, which visits each distinct node once, keyed by identity, and keeps that
-sharing; render_tree, export_dot and paths.enumerate_paths loop over walk,
-which goes through the full tree, a shared subtree once per occurrence.
+sharing.  render_tree and export_dot cost O(distinct nodes + output): each
+prints a repeated subtree from what its first occurrence produced.  Only
+paths.enumerate_paths loops over walk, which goes through the full tree, a
+shared subtree once per occurrence.
 """
 
 from __future__ import annotations
@@ -193,15 +195,42 @@ def is_open(t: EvalTree) -> bool:
 
 
 def render_tree(t: EvalTree) -> str:
-    """Fully parenthesised infix form, e.g. ``(F < b > T) < a > F``."""
+    """Fully parenthesised infix form, e.g. ``(F < b > T) < a > F``.
+
+    A subtree's text does not depend on where it occurs, and only the root
+    goes without parentheses.  So each branch's first occurrence records the
+    span of parts it produced, parentheses included, and a later occurrence
+    appends that span joined, built once: the cost is O(distinct nodes +
+    output), not one step per node of the full tree."""
+    if isinstance(t, Leaf):
+        return "T" if t.value else "F"
     parts: list[str] = []
-    for node, step in walk(t):
-        if step == 1:
-            parts.append(f" < {node.atom} > ")
-        elif isinstance(node, Leaf):
-            parts.append("T" if node.value else "F")
-        elif node is not t:
-            parts.append("(" if step == 0 else ")")
+    # id(branch) -> the (start, end) of its first occurrence in parts, then
+    # its text from its second occurrence on.
+    texts: dict[int, tuple[int, int] | str] = {}
+    # Text to emit, subtrees to print, and (id(branch), start) to close a
+    # branch's first occurrence, in reverse order.
+    stack: list[EvalTree | str | tuple[int, int]] = [t.right, f" < {t.atom} > ", t.left]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+        elif type(item) is tuple:
+            key, start = item
+            parts.append(")")
+            texts[key] = (start, len(parts))
+        elif isinstance(item, Leaf):
+            parts.append("T" if item.value else "F")
+        else:
+            key = id(item)
+            text = texts.get(key)
+            if text is None:
+                stack += ((key, len(parts)), item.right, f" < {item.atom} > ", item.left)
+                parts.append("(")
+            else:
+                if type(text) is tuple:
+                    text = texts[key] = "".join(parts[text[0]:text[1]])
+                parts.append(text)
     return "".join(parts)
 
 
@@ -275,28 +304,111 @@ def parse_tree(text: str) -> EvalTree:
             index += 1
 
 
+def _shared_branches(t: EvalTree) -> set[int]:
+    """The ids of t's branches with more than one parent (or one parent
+    twice), found in one pass over the distinct nodes."""
+    seen: set[int] = set()
+    shared: set[int] = set()
+    stack = [t] if isinstance(t, Branch) else []
+    while stack:
+        node = stack.pop()
+        for child in (node.left, node.right):
+            if isinstance(child, Branch):
+                key = id(child)
+                if key in seen:
+                    shared.add(key)
+                else:
+                    seen.add(key)
+                    stack.append(child)
+    return shared
+
+
+# export_dot's stack markers: the right child is next, and a branch's
+# subtrees are done.
+_MIDDLE = object()
+_END = object()
+
+# Line templates, %d for each node id.
+_TRUE_LEAF_LINE = '  n%d [shape=box, label="T"];'
+_FALSE_LEAF_LINE = '  n%d [shape=box, label="F"];'
+_EDGE_LINES = '  n%d -> n%d [label="T"];\n  n%d -> n%d [label="F"];'
+
+
 def export_dot(t: EvalTree) -> str:
     """DOT digraph: atoms as ellipses, leaves as boxes labeled T/F,
     true edges labeled "T", false edges labeled "F".  Nodes are numbered in
-    pre-order, each branch's edges following both of its subtrees."""
+    pre-order, each branch's edges following both of its subtrees.
+
+    A repeated subtree's lines differ only in their ids, each shifted by the
+    same amount.  So the first occurrence of a branch with more than one
+    parent is printed as line templates with a list of its ids, and each
+    later occurrence reuses them with the ids shifted: the cost is
+    O(distinct nodes + output)."""
+    shared = _shared_branches(t)
     lines = ["digraph evaltree {"]
     counter = 0
     # Each open branch's id, then its right child's; its left child's is id + 1.
+    open_ids: list[int] = []
+    # Inside a shared branch's first occurrence, lines[region:] are templates
+    # and ids holds their ids; region is -1 outside.
+    region = -1
     ids: list[int] = []
-    for node, step in walk(t):
-        if step == 0:
-            if isinstance(node, Leaf):
-                label = "T" if node.value else "F"
-                lines.append(f'  n{counter} [shape=box, label="{label}"];')
+    # id(shared branch) -> its first occurrence's joined templates, ids, first
+    # id and size.
+    templates: dict[int, tuple[str, list[int], int, int]] = {}
+    stack: list[object] = [t]
+    while stack:
+        item = stack.pop()
+        if item is _MIDDLE:
+            open_ids.append(counter)
+        elif item is _END:
+            right, node_id = open_ids.pop(), open_ids.pop()
+            if region < 0:
+                lines.append(f'  n{node_id} -> n{node_id + 1} [label="T"];\n'
+                             f'  n{node_id} -> n{right} [label="F"];')
             else:
-                lines.append(f'  n{counter} [shape=ellipse, label="{node.atom}"];')
+                lines.append(_EDGE_LINES)
+                ids += (node_id, node_id + 1, node_id, right)
+        elif type(item) is tuple:
+            # A shared branch's first occurrence is done.
+            key, start, ids_start, first = item
+            text = "\n".join(lines[start:])
+            templates[key] = (text, ids[ids_start:], first, counter - first)
+            if start == region:
+                lines[start:] = [text % tuple(ids)]
+                ids.clear()
+                region = -1
+        elif isinstance(item, Leaf):
+            if region < 0:
+                lines.append(f'  n{counter} [shape=box, label="{"T" if item.value else "F"}"];')
+            else:
+                lines.append(_TRUE_LEAF_LINE if item.value else _FALSE_LEAF_LINE)
                 ids.append(counter)
             counter += 1
-        elif step == 1:
-            ids.append(counter)
         else:
-            right, node_id = ids.pop(), ids.pop()
-            lines.append(f'  n{node_id} -> n{node_id + 1} [label="T"];')
-            lines.append(f'  n{node_id} -> n{right} [label="F"];')
+            if shared and (key := id(item)) in shared:
+                memo = templates.get(key)
+                if memo is not None:
+                    text, sub_ids, first, size = memo
+                    shift = counter - first
+                    shifted = [i + shift for i in sub_ids]
+                    if region < 0:
+                        lines.append(text % tuple(shifted))
+                    else:
+                        lines.append(text)
+                        ids += shifted
+                    counter += size
+                    continue
+                if region < 0:
+                    region = len(lines)
+                stack.append((key, len(lines), len(ids), counter))
+            if region < 0:
+                lines.append(f'  n{counter} [shape=ellipse, label="{item.atom}"];')
+            else:
+                lines.append('  n%d [shape=ellipse, label="' + item.atom.replace("%", "%%") + '"];')
+                ids.append(counter)
+            open_ids.append(counter)
+            counter += 1
+            stack += (_END, item.right, _MIDDLE, item.left)
     lines.append("}")
     return "\n".join(lines)

@@ -365,7 +365,10 @@ class TestDot:
 # --- one depth-first walk -----------------------------------------------------
 
 # The explicit-stack loops render_tree, export_dot and enumerate_paths ran
-# before they looped over walk, kept verbatim as oracles.
+# before they looped over walk, kept verbatim as oracles: each prints every
+# node of the full tree.  enumerate_paths still loops over walk; render_tree
+# and export_dot now run their own stacks and print a repeated subtree from
+# what its first occurrence produced.
 
 def render_tree_reference(t):
     """Fully parenthesised infix form, e.g. ``(F < b > T) < a > F``."""
@@ -504,3 +507,91 @@ class TestWalk:
             f = Con(Lit(f"x{i}"), f)
         t = se(f)
         assert list(enumerate_paths(t)) == list(enumerate_paths_reference(t))
+
+
+# --- shared subtrees ----------------------------------------------------------
+
+@st.composite
+def shared_dags(draw, atoms=("a", "b", "c"), max_branches=10):
+    """A Branch DAG whose children are drawn from the nodes built so far, so a
+    subtree can be both children of one branch, occur at different depths,
+    and be shared inside another shared subtree."""
+    nodes: list[EvalTree] = [TRUE_LEAF, FALSE_LEAF]
+    for _ in range(draw(st.integers(1, max_branches))):
+        left, right = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
+        nodes.append(Branch(left, draw(st.sampled_from(atoms)), right))
+    return nodes[-1]
+
+
+def assert_same_text(got, want):
+    # pytest would diff two unequal texts in full, which takes minutes on the
+    # megabyte ones; the first difference is enough.
+    if got != want:
+        at = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want)))
+        around = slice(max(at - 40, 0), at + 40)
+        pytest.fail(f"texts differ at {at}: {got[around]!r} != {want[around]!r}")
+
+
+def assert_printers_match_references(t):
+    assert_same_text(render_tree(t), render_tree_reference(t))
+    assert_same_text(export_dot(t), export_dot_reference(t))
+
+
+_SHARED = Branch(Branch(TRUE_LEAF, "b", FALSE_LEAF), "c", TRUE_LEAF)
+_PERCENT = Branch(_SHARED, "p%d", FALSE_LEAF)
+
+
+class TestSharedDag:
+    @settings(max_examples=500)
+    @given(shared_dags())
+    def test_printers_match_references(self, t):
+        assert_printers_match_references(t)
+
+    @pytest.mark.parametrize("t", [
+        Branch(_SHARED, "a", _SHARED),
+        Branch(Branch(_SHARED, "b", _SHARED.left), "a", Branch(_SHARED, "d", Branch(_SHARED, "b", _SHARED.left))),
+        # A '%' in an atom stays literal in a repeated subtree's DOT lines.
+        Branch(_PERCENT, "q%%", _PERCENT),
+        TRUE_LEAF,
+        FALSE_LEAF,
+    ], ids=["both_children", "nested", "percent_atoms", "true_leaf", "false_leaf"])
+    def test_fixed_dags(self, t):
+        assert_printers_match_references(t)
+
+    def test_both_children(self):
+        t = Branch(_SHARED, "a", _SHARED)
+        assert render_tree(t) == "((T < b > F) < c > T) < a > ((T < b > F) < c > T)"
+
+        def occurrence(n):
+            return [
+                f'  n{n} [shape=ellipse, label="c"];',
+                f'  n{n + 1} [shape=ellipse, label="b"];',
+                f'  n{n + 2} [shape=box, label="T"];',
+                f'  n{n + 3} [shape=box, label="F"];',
+                f'  n{n + 1} -> n{n + 2} [label="T"];',
+                f'  n{n + 1} -> n{n + 3} [label="F"];',
+                f'  n{n + 4} [shape=box, label="T"];',
+                f'  n{n} -> n{n + 1} [label="T"];',
+                f'  n{n} -> n{n + 4} [label="F"];',
+            ]
+
+        assert export_dot(t).splitlines() == [
+            "digraph evaltree {",
+            '  n0 [shape=ellipse, label="a"];',
+            *occurrence(1),
+            *occurrence(6),
+            '  n0 -> n1 [label="T"];',
+            '  n0 -> n6 [label="F"];',
+            "}",
+        ]
+
+    def test_unshared_parse_tree(self):
+        t = parse_tree("((T < b > F) < a > (F < c > T)) < d > ((T < e > T) < f > F)")
+        # Only the two leaf constants repeat: every branch occurs once.
+        assert _distinct_nodes(t) == leaf_profile(t).leaf_count - 1 + 2
+        assert_printers_match_references(t)
+
+    def test_or_chain(self):
+        t = se(parse(_or_chain(14)))
+        assert leaf_profile(t).leaf_count == 2 ** 15 - 1
+        assert_printers_match_references(t)
