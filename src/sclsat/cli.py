@@ -8,7 +8,8 @@ Subcommands:
     normalize  print the normal form of a formula and its class
     axioms     list an axiom system or run its randomized soundness suite
 
-Exit codes: 0 yes / success, 1 no / failed check, 2 unknown, 64 usage error,
+Exit codes: 0 yes / success, 1 no / failed check, 2 unknown, 74 output error
+(the reader closed stdout early, as head -1 does), 64 usage error,
 65 parse error.
 
 main(argv) may be called repeatedly in one process; it builds its argparse
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import random
 import sys
 
@@ -53,6 +55,7 @@ EXIT_NO = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_PARSE = 65
+EXIT_IO = 74
 
 
 class _Parser(argparse.ArgumentParser):
@@ -276,6 +279,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, PathParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except BrokenPipeError:
+        # The reader is gone: point stdout at devnull, so that the flush at
+        # shutdown raises nothing (the "Note on SIGPIPE" in Python's signal
+        # module docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
 
 
 if __name__ == "__main__":

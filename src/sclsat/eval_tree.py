@@ -17,16 +17,16 @@ once.  Trees may share subtrees.  se(f) returns a shared DAG, equal under
 have exponentially many leaves.  substitute, depth and leaf_profile run on
 _fold, which visits each distinct node once, keyed by identity, and keeps that
 sharing.  render_tree and export_dot cost O(distinct nodes + output): each
-prints a repeated subtree from what its first occurrence produced.  Only
-paths.enumerate_paths loops over walk, which goes through the full tree, a
-shared subtree once per occurrence.
+records the span of output a branch's first occurrence produced and reuses it
+at a later occurrence; export_dot's lines are %d templates, their ids shifted
+per occurrence and formatted once.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, TypeVar, Union
+from typing import Callable, TypeVar, Union
 
 from .formula_core import _ATOM, Con, Const, Dis, Formula, Lit, Neg, _Node, is_valid_atom
 
@@ -161,18 +161,6 @@ def _fold(t: EvalTree, leaf: Callable[[Leaf], V], branch: Callable[[Branch, V, V
     return values[id(t)]
 
 
-def walk(t: EvalTree) -> Iterator[tuple[EvalTree, int]]:
-    """Depth-first walk of the full tree t, true branch first, on an explicit
-    stack: yields (leaf, 0) at a leaf and (branch, 0), (branch, 1), (branch, 2)
-    before, between and after a branch's subtrees, shared ones at each occurrence."""
-    stack: list[tuple[EvalTree, int]] = [(t, 0)]
-    while stack:
-        node, step = event = stack.pop()
-        yield event
-        if step == 0 and isinstance(node, Branch):
-            stack += ((node, 2), (node.right, 0), (node, 1), (node.left, 0))
-
-
 def depth(t: EvalTree) -> int:
     return _fold(t, lambda leaf: 0, lambda node, left, right: 1 + max(left, right))
 
@@ -304,25 +292,6 @@ def parse_tree(text: str) -> EvalTree:
             index += 1
 
 
-def _shared_branches(t: EvalTree) -> set[int]:
-    """The ids of t's branches with more than one parent (or one parent
-    twice), found in one pass over the distinct nodes."""
-    seen: set[int] = set()
-    shared: set[int] = set()
-    stack = [t] if isinstance(t, Branch) else []
-    while stack:
-        node = stack.pop()
-        for child in (node.left, node.right):
-            if isinstance(child, Branch):
-                key = id(child)
-                if key in seen:
-                    shared.add(key)
-                else:
-                    seen.add(key)
-                    stack.append(child)
-    return shared
-
-
 # export_dot's stack markers: the right child is next, and a branch's
 # subtrees are done.
 _MIDDLE = object()
@@ -339,76 +308,49 @@ def export_dot(t: EvalTree) -> str:
     true edges labeled "T", false edges labeled "F".  Nodes are numbered in
     pre-order, each branch's edges following both of its subtrees.
 
-    A repeated subtree's lines differ only in their ids, each shifted by the
-    same amount.  So the first occurrence of a branch with more than one
-    parent is printed as line templates with a list of its ids, and each
-    later occurrence reuses them with the ids shifted: the cost is
-    O(distinct nodes + output)."""
-    shared = _shared_branches(t)
+    As in render_tree, each branch's first occurrence records its span of
+    lines, all %d templates, and of their ids; a later occurrence appends
+    those lines joined, built once, and the ids shifted by the same amount.
+    The ids are formatted once, at the end: O(distinct nodes + output)."""
     lines = ["digraph evaltree {"]
-    counter = 0
-    # Each open branch's id, then its right child's; its left child's is id + 1.
-    open_ids: list[int] = []
-    # Inside a shared branch's first occurrence, lines[region:] are templates
-    # and ids holds their ids; region is -1 outside.
-    region = -1
     ids: list[int] = []
-    # id(shared branch) -> its first occurrence's joined templates, ids, first
-    # id and size.
-    templates: dict[int, tuple[str, list[int], int, int]] = {}
+    counter = 0
+    # Each open branch's (id(branch), first line, first id index, node id),
+    # then its right child's id; its left child's is node id + 1.
+    open_ids: list[object] = []
+    # id(branch) -> the (first line, end line, first id index, end id index,
+    # node id, size) of its first occurrence, then its joined lines, ids,
+    # node id and size from its second occurrence on.
+    spans: dict[int, tuple] = {}
     stack: list[object] = [t]
     while stack:
         item = stack.pop()
         if item is _MIDDLE:
             open_ids.append(counter)
         elif item is _END:
-            right, node_id = open_ids.pop(), open_ids.pop()
-            if region < 0:
-                lines.append(f'  n{node_id} -> n{node_id + 1} [label="T"];\n'
-                             f'  n{node_id} -> n{right} [label="F"];')
-            else:
-                lines.append(_EDGE_LINES)
-                ids += (node_id, node_id + 1, node_id, right)
-        elif type(item) is tuple:
-            # A shared branch's first occurrence is done.
-            key, start, ids_start, first = item
-            text = "\n".join(lines[start:])
-            templates[key] = (text, ids[ids_start:], first, counter - first)
-            if start == region:
-                lines[start:] = [text % tuple(ids)]
-                ids.clear()
-                region = -1
+            right = open_ids.pop()
+            key, start, ids_start, node_id = open_ids.pop()
+            lines.append(_EDGE_LINES)
+            ids += (node_id, node_id + 1, node_id, right)
+            spans[key] = (start, len(lines), ids_start, len(ids), node_id, counter - node_id)
         elif isinstance(item, Leaf):
-            if region < 0:
-                lines.append(f'  n{counter} [shape=box, label="{"T" if item.value else "F"}"];')
-            else:
-                lines.append(_TRUE_LEAF_LINE if item.value else _FALSE_LEAF_LINE)
-                ids.append(counter)
+            lines.append(_TRUE_LEAF_LINE if item.value else _FALSE_LEAF_LINE)
+            ids.append(counter)
             counter += 1
+        elif (span := spans.get(id(item))) is not None:
+            if len(span) == 6:
+                start, end, ids_start, ids_end, first, size = span
+                span = spans[id(item)] = ("\n".join(lines[start:end]), ids[ids_start:ids_end], first, size)
+            text, sub_ids, first, size = span
+            shift = counter - first
+            lines.append(text)
+            ids += [i + shift for i in sub_ids]
+            counter += size
         else:
-            if shared and (key := id(item)) in shared:
-                memo = templates.get(key)
-                if memo is not None:
-                    text, sub_ids, first, size = memo
-                    shift = counter - first
-                    shifted = [i + shift for i in sub_ids]
-                    if region < 0:
-                        lines.append(text % tuple(shifted))
-                    else:
-                        lines.append(text)
-                        ids += shifted
-                    counter += size
-                    continue
-                if region < 0:
-                    region = len(lines)
-                stack.append((key, len(lines), len(ids), counter))
-            if region < 0:
-                lines.append(f'  n{counter} [shape=ellipse, label="{item.atom}"];')
-            else:
-                lines.append('  n%d [shape=ellipse, label="' + item.atom.replace("%", "%%") + '"];')
-                ids.append(counter)
-            open_ids.append(counter)
+            open_ids.append((id(item), len(lines), len(ids), counter))
+            lines.append('  n%d [shape=ellipse, label="' + item.atom.replace("%", "%%") + '"];')
+            ids.append(counter)
             counter += 1
             stack += (_END, item.right, _MIDDLE, item.left)
     lines.append("}")
-    return "\n".join(lines)
+    return "\n".join(lines) % tuple(ids)

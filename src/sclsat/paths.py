@@ -13,7 +13,7 @@ import re
 from enum import Enum
 from typing import Iterator, Optional
 
-from .eval_tree import Branch, EvalTree, Leaf, walk
+from .eval_tree import Branch, EvalTree, Leaf
 from .formula_core import _ATOM, is_valid_atom
 
 PathEntry = tuple[str, bool]
@@ -88,15 +88,21 @@ def norm(kind: str, p: ValuationPath) -> int:
 def enumerate_paths(t: EvalTree) -> Iterator[tuple[ValuationPath, bool]]:
     """All root-to-leaf traces of t with their leaf values, true branch first."""
     prefix: list[PathEntry] = []
-    for node, step in walk(t):
-        if isinstance(node, Leaf):
-            yield tuple(prefix), node.value
-        elif step == 0:
-            prefix.append((node.atom, True))
-        elif step == 1:
-            prefix[-1] = (node.atom, False)
-        else:
+    # Subtrees to walk, the (atom, False) entry that starts a branch's false
+    # side, and None to leave a branch, in reverse order; an explicit stack
+    # copes with deep trees.
+    stack: list[EvalTree | PathEntry | None] = [t]
+    while stack:
+        item = stack.pop()
+        if item is None:
             prefix.pop()
+        elif type(item) is tuple:
+            prefix[-1] = item
+        elif isinstance(item, Leaf):
+            yield tuple(prefix), item.value
+        else:
+            prefix.append((item.atom, True))
+            stack += (None, item.right, (item.atom, False), item.left)
 
 
 def render_path(p: ValuationPath) -> str:

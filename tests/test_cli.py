@@ -10,7 +10,7 @@ import pytest
 import sclsat
 from sclsat import cli
 from sclsat.axiom_suite import SYSTEMS, AxiomScheme
-from sclsat.cli import EXIT_NO, EXIT_PARSE, EXIT_UNKNOWN, EXIT_USAGE, EXIT_YES, build_parser, main
+from sclsat.cli import EXIT_IO, EXIT_NO, EXIT_PARSE, EXIT_UNKNOWN, EXIT_USAGE, EXIT_YES, build_parser, main
 from sclsat.formula_core import parse
 from sclsat.paths import parse_path
 from sclsat.valuation_algebras import FiniteAlgebra, build_cva, build_va, class_check, evaluation_path
@@ -374,16 +374,36 @@ def test_help_ends_description_before_in_process_note(capsys):
     assert "main(argv)" not in out
 
 
-def test_module_entry_point_in_fresh_interpreter():
+def _fresh_interpreter_env():
+    """os.environ with this checkout's sclsat first on PYTHONPATH."""
     src = str(Path(sclsat.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_module_entry_point_in_fresh_interpreter():
     proc = subprocess.run(
         [sys.executable, "-m", "sclsat.cli", "sat", "a && b"],
-        env={**os.environ, "PYTHONPATH": path},
+        env=_fresh_interpreter_env(),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == EXIT_YES, proc.stderr
     assert "answer: yes" in proc.stdout
+
+
+def test_reader_closing_stdout_early_exits_io():
+    # The DOT text of the 12-pair chain is about a megabyte, more than a pipe
+    # holds, so printing it meets the closed pipe.
+    chain = " && ".join(f"(a{i} || b{i})" for i in range(12))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sclsat.cli", "tree", "--dot", chain],
+        env=_fresh_interpreter_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"digraph evaltree {\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_IO
+    assert err == b""
 
 
 # --- witness algebras and the verify round trip -------------------------------

@@ -20,7 +20,6 @@ from sclsat.eval_tree import (
     render_tree,
     se,
     substitute,
-    walk,
 )
 from sclsat.formula_core import (
     Con,
@@ -362,13 +361,13 @@ class TestDot:
         assert dot.count("shape=box") == 20001
 
 
-# --- one depth-first walk -----------------------------------------------------
+# --- the full tree's printers and paths --------------------------------------
 
 # The explicit-stack loops render_tree, export_dot and enumerate_paths ran
-# before they looped over walk, kept verbatim as oracles: each prints every
-# node of the full tree.  enumerate_paths still loops over walk; render_tree
-# and export_dot now run their own stacks and print a repeated subtree from
-# what its first occurrence produced.
+# before they looped over a shared depth-first walk, kept verbatim as oracles:
+# each goes through every node of the full tree.  render_tree and export_dot
+# now print a repeated subtree from what its first occurrence produced, and
+# enumerate_paths keeps one prefix list on its own stack.
 
 def render_tree_reference(t):
     """Fully parenthesised infix form, e.g. ``(F < b > T) < a > F``."""
@@ -438,35 +437,49 @@ def enumerate_paths_reference(t):
             stack.append((node.left, prefix + ((node.atom, True),)))
 
 
+def assert_same_text(got, want):
+    # pytest would diff two unequal texts in full, which takes minutes on the
+    # megabyte ones; the first difference is enough.
+    if got != want:
+        at = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want)))
+        around = slice(max(at - 40, 0), at + 40)
+        pytest.fail(f"texts differ at {at}: {got[around]!r} != {want[around]!r}")
+
+
+def assert_printers_match_references(t):
+    assert_same_text(render_tree(t), render_tree_reference(t))
+    assert_same_text(export_dot(t), export_dot_reference(t))
+
+
 def assert_walkers_match_references(t, paths=True):
-    assert render_tree(t) == render_tree_reference(t)
-    assert export_dot(t) == export_dot_reference(t)
+    assert_printers_match_references(t)
     if paths:
         assert list(enumerate_paths(t)) == list(enumerate_paths_reference(t))
 
 
 class TestWalk:
-    def test_events_on_example(self):
+    def test_paths_on_example(self):
         t = se(parse("a && !b"))
-        b = t.left
         assert t == Branch(Branch(FALSE_LEAF, "b", TRUE_LEAF), "a", FALSE_LEAF)
-        expected = [(t, 0), (b, 0), (b.left, 0), (b, 1), (b.right, 0), (b, 2),
-                    (t, 1), (t.right, 0), (t, 2)]
-        events = list(walk(t))
-        assert [step for _, step in events] == [step for _, step in expected]
-        assert all(node is want for (node, _), (want, _) in zip(events, expected))
+        assert list(enumerate_paths(t)) == [
+            ((("a", True), ("b", True)), False),
+            ((("a", True), ("b", False)), True),
+            ((("a", False),), False),
+        ]
 
     def test_shared_subtree_walked_at_each_occurrence(self):
         shared = Branch(TRUE_LEAF, "b", FALSE_LEAF)
         t = Branch(shared, "a", shared)
-        occurrence = [(shared, 0), (TRUE_LEAF, 0), (shared, 1), (FALSE_LEAF, 0), (shared, 2)]
-        expected = [(t, 0), *occurrence, (t, 1), *occurrence, (t, 2)]
-        events = list(walk(t))
-        assert [step for _, step in events] == [step for _, step in expected]
-        assert all(node is want for (node, _), (want, _) in zip(events, expected))
+        assert list(enumerate_paths(t)) == [
+            ((("a", True), ("b", True)), True),
+            ((("a", True), ("b", False)), False),
+            ((("a", False), ("b", True)), True),
+            ((("a", False), ("b", False)), False),
+        ]
 
     def test_leaf(self):
-        assert list(walk(FALSE_LEAF)) == [(FALSE_LEAF, 0)]
+        assert list(enumerate_paths(FALSE_LEAF)) == [((), False)]
+        assert list(enumerate_paths(TRUE_LEAF)) == [((), True)]
 
     def test_walkers_match_references_exhaustively(self):
         for f in enumerate_formulas(["a", "b"], 6):
@@ -521,20 +534,6 @@ def shared_dags(draw, atoms=("a", "b", "c"), max_branches=10):
         left, right = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
         nodes.append(Branch(left, draw(st.sampled_from(atoms)), right))
     return nodes[-1]
-
-
-def assert_same_text(got, want):
-    # pytest would diff two unequal texts in full, which takes minutes on the
-    # megabyte ones; the first difference is enough.
-    if got != want:
-        at = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want)))
-        around = slice(max(at - 40, 0), at + 40)
-        pytest.fail(f"texts differ at {at}: {got[around]!r} != {want[around]!r}")
-
-
-def assert_printers_match_references(t):
-    assert_same_text(render_tree(t), render_tree_reference(t))
-    assert_same_text(export_dot(t), export_dot_reference(t))
 
 
 _SHARED = Branch(Branch(TRUE_LEAF, "b", FALSE_LEAF), "c", TRUE_LEAF)
