@@ -8,9 +8,8 @@ Subcommands:
     normalize  print the normal form of a formula and its class
     axioms     list an axiom system or run its randomized soundness suite
 
-Exit codes: 0 yes / success, 1 no / failed check, 2 unknown, 74 output error
-(the reader closed stdout early, as head -1 does), 64 usage error,
-65 parse error.
+Exit codes: 0 yes / success, 1 no / failed check, 2 unknown, 64 usage error,
+65 parse error, 74 output error (the reader closed stdout early).
 
 main(argv) may be called repeatedly in one process; it builds its argparse
 parser on the first call and reuses it afterwards.
@@ -282,8 +281,11 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # The reader is gone: point stdout at devnull, so that the flush at
         # shutdown raises nothing (the "Note on SIGPIPE" in Python's signal
-        # module docs).
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # module docs). This serves the console script, which exits next; an
+        # in-process caller keeps fd 1 on devnull, whose reader left anyway.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_IO
 
 

@@ -370,7 +370,7 @@ def test_shared_parser_matches_fresh_parser(capsys, unbuilt_parser):
 def test_help_ends_description_before_in_process_note(capsys):
     ending, code, out, _ = run_raising(capsys, ["--help"])
     assert (ending, code) == ("raised", 0)
-    assert "65 parse error.\n\npositional arguments:" in out
+    assert "74 output error (the reader closed stdout early).\n\npositional arguments:" in out
     assert "main(argv)" not in out
 
 
