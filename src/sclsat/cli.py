@@ -164,9 +164,11 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def _random_formula(rng: random.Random, atoms: list[str], max_nodes: int) -> Formula:
+    leaves = [TRUE, FALSE] + [Lit(a) for a in atoms]
+
     def build(budget: int) -> Formula:
         if budget <= 1:
-            return rng.choice([TRUE, FALSE] + [Lit(a) for a in atoms])
+            return rng.choice(leaves)
         kind = rng.randrange(3)
         if kind == 0 or budget == 2:
             return Neg(build(budget - 1))

@@ -11,13 +11,14 @@ distinct node once, keyed by identity, children before their parent and the
 left operand first; it raises TypeError on a node that is not a formula.  A
 fold keeps one value per node in a dict keyed by ``id(node)``, so shared
 subterms are computed once and deep formulas need no recursion.  The
-solvers' flag pass, the boolean encoder's gates, and the axiom
-instantiation are folds of the same kind; the gates are defined by walks
-that share one set of entered nodes, so each node is defined once.  The
-functions ``parse`` and ``render`` keep explicit stacks of their own,
-because text is read and written top-down, and so does the boolean
-solver's atom and size count (``sat_solvers._atoms_and_size``), which runs
-on every MSCL and SSCL call and costs half a generator fold.  ``parse``
+boolean encoder's gates and the axiom instantiation are folds of the same
+kind; the gates are defined by walks that share one set of entered nodes,
+so each node is defined once.  The functions ``parse`` and ``render`` keep
+explicit stacks of their own, because text is read and written top-down.
+So do the two passes that run on every call of a decision procedure, which
+cost about half a generator fold each: the boolean solver's atom and size
+count (``sat_solvers._atoms_and_size``) and the direct solver's flag pass
+(``sat_solvers._sat_fal_flags``), whose keys still come in this order.  ``parse``
 splits its text with one token pattern and ``re.findall``; only on an error
 does it run the same pattern again with positions, to say where.  Atom names follow one pattern,
 ``_ATOM``; ``ATOM_PATTERN``, the formula token pattern, the word-start

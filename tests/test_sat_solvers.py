@@ -2,6 +2,7 @@ import copy
 import hashlib
 import itertools
 import json
+import pickle
 import random
 import sys
 import threading
@@ -195,8 +196,53 @@ class TestDispatch:
                     decide(logic, node, strategy)
 
 
-# --- oracles: the hand-stacked flag pass and Tseitin encoding that the folds
-# over postorder replaced ---
+class TestOutcomeObject:
+    # A slotted dataclass, built once per solver call; its text, equality,
+    # hashing and pickling are those of the frozen dataclass it replaced.
+    REPR = ("SatOutcome(answer='yes', witness=(('a', True), ('b', False)), "
+            "logic=<Logic.MSCL: 'MSCL'>, solver='boolean', node_visits=4, leaves_explored=0)")
+    JSON = ('{"answer": "yes", "witness": [["a", true], ["b", false]], '
+            '"logic": "MSCL", "solver": "boolean", "node_visits": 4}')
+
+    def test_slotted(self):
+        out = solve(Logic.MSCL, parse("a && !b"))
+        assert not hasattr(out, "__dict__")
+        assert SatOutcome.__slots__ == ("answer", "witness", "logic", "solver",
+                                        "node_visits", "leaves_explored")
+
+    def test_text_unchanged(self):
+        out = solve(Logic.MSCL, parse("a && !b"))
+        assert repr(out) == self.REPR
+        assert out.to_json() == self.JSON
+
+    def test_equal_outcomes_hash_equal(self):
+        # Two parses are two formula objects, so the second call solves anew.
+        first = solve(Logic.MSCL, parse("a && !b"))
+        second = solve(Logic.MSCL, parse("a && !b"))
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second, replace(first)}) == 1
+        assert first != replace(first, node_visits=5)
+
+    def test_replace_logic(self):
+        out = solve(Logic.MSCL, parse("a && !b"))
+        sibling = replace(out, logic=Logic.SSCL)
+        assert sibling.logic is Logic.SSCL and out.logic is Logic.MSCL
+        assert (sibling.answer, sibling.witness, sibling.solver, sibling.node_visits) == \
+            (out.answer, out.witness, out.solver, out.node_visits)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        for out in (solve(Logic.MSCL, parse("a && !b")), solve(Logic.SSCL, parse("a && !a"))):
+            back = pickle.loads(pickle.dumps(out, protocol))
+            assert back == out and repr(back) == repr(out)
+            assert back.logic is out.logic
+        assert copy.deepcopy(out) == out
+
+
+# --- oracles: the first hand-stacked flag pass, which peeks at the top of its
+# stack where today's pushes a marker, and the Tseitin encoding that the
+# gates' fold over postorder replaced ---
 
 def flags_reference(f):
     flags = {}
@@ -1285,3 +1331,31 @@ class TestSingleCount:
     def test_non_formula_raises_type_error(self, node):
         with pytest.raises(TypeError, match="not a formula"):
             _atoms_and_size(node)
+
+
+class TestFlagPass:
+    def assert_matches_reference(self, f):
+        # Item for item and in order: the keys come in postorder's order.
+        flags = _sat_fal_flags(f)
+        expected, visits = flags_reference(f)
+        assert list(flags.items()) == list(expected.items())
+        assert len(flags) == visits
+
+    # Deeper than the recursion limit, as for the atom count above.
+    @pytest.mark.parametrize("make", [
+        _criterion_10_chain, lambda: parse("!" * 3000 + "a"),
+        lambda: parse(" && ".join(f"x{i}" for i in range(1200))),
+    ], ids=["chain_10000", "negations_3000", "flat_chain_1200"])
+    def test_deep_inputs(self, make):
+        self.assert_matches_reference(make())
+
+    @pytest.mark.parametrize("kinds", [("&&",), ("||", "!&&")])
+    def test_shared_dags(self, kinds):
+        self.assert_matches_reference(shared_dag(kinds, 60))
+
+    # A None operand must not pass for the stack's marker.
+    @pytest.mark.parametrize("node", NOT_FORMULAS + [se(parse("a")), None, Con(Lit("a"), None)],
+                             ids=["int", "int_operand", "tree", "none", "none_operand"])
+    def test_non_formula_raises_type_error(self, node):
+        with pytest.raises(TypeError, match="not a formula"):
+            _sat_fal_flags(node)

@@ -23,6 +23,19 @@ def test_compare_solvers_agree(monkeypatch, capsys):
     assert "DISAGREES" not in out
 
 
+def test_compare_solvers_times_auto(monkeypatch, capsys):
+    # One row per strategy and logic, auto (solve itself) last, each with its
+    # time per call; auto never answers unknown.
+    code, out = run_script(monkeypatch, capsys, "compare_solvers", "--atoms", "a", "--max-nodes", "3")
+    assert code == 0
+    rows = [line.split(":") for line in out.splitlines() if line.startswith("  ")]
+    strategies = ["brute-control", "brute-force", "direct", "open", "boolean", "auto"]
+    assert [name.strip() for name, _ in rows] == strategies * 5
+    for name, summary in rows:
+        assert summary.endswith(" us/call)")
+        assert name.strip() != "auto" or "unknown" not in summary
+
+
 def test_tree_growth_within_bound(monkeypatch, capsys):
     code, out = run_script(monkeypatch, capsys, "tree_growth", "--max-occurrences", "8", "--samples", "5")
     assert code == 0
