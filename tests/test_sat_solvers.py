@@ -197,8 +197,8 @@ class TestDispatch:
 
 
 class TestOutcomeObject:
-    # A slotted dataclass, built once per solver call; its text, equality,
-    # hashing and pickling are those of the frozen dataclass it replaced.
+    # Built once per solver call: slotted, with a dataclass's text, equality,
+    # hashing by fields and pickling.
     REPR = ("SatOutcome(answer='yes', witness=(('a', True), ('b', False)), "
             "logic=<Logic.MSCL: 'MSCL'>, solver='boolean', node_visits=4, leaves_explored=0)")
     JSON = ('{"answer": "yes", "witness": [["a", true], ["b", false]], '
